@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 
 from .digraph import (
+    DEFAULT_MAX_CYCLES,
     CycleLimitError,
     Digraph,
     feeder_paths,
@@ -86,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-cycles",
             type=int,
-            default=1_000_000,
+            default=DEFAULT_MAX_CYCLES,
             metavar="K",
             help="abort (exit 3) past K enumerated cycles or paths [%(default)s]",
         )

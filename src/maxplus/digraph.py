@@ -171,32 +171,37 @@ def feeder_paths(
     maximal: every predecessor of l_1 already lies in the cycle or on the
     path.  Maximal paths are exactly the leaves of the backward-extension
     search, so a depth-first walk over fresh outside predecessors finds
-    each exactly once.
+    each exactly once.  The walk keeps an explicit stack, so path length
+    is not bounded by the interpreter's recursion limit.
     """
     jset = cycle.node_set
     out: list[FeederPath] = []
 
-    def grow(seq: list[int], used: set[int]) -> None:
-        head = seq[0]
-        fresh = [u for u in d.pred[head] if u not in jset and u not in used]
-        if not fresh:
-            if len(seq) >= 2:
-                if max_paths is not None and len(out) >= max_paths:
-                    raise CycleLimitError(
-                        f"more than {max_paths} feeder paths; "
-                        "raise the cap to proceed"
-                    )
-                out.append(FeederPath(tuple(seq)))
-            return
-        for u in fresh:
-            seq.insert(0, u)
-            used.add(u)
-            grow(seq, used)
-            seq.pop(0)
-            used.discard(u)
-
     for end in cycle.nodes:
-        grow([end], {end})
+        # path[k] is the node at depth k (path[0] = end, path[-1] = head);
+        # untried[k] holds the fresh predecessors of path[k] not yet walked.
+        path = [end]
+        used = {end}
+        untried = [[u for u in d.pred[end] if u not in jset]]
+        while untried:
+            if not untried[-1]:
+                untried.pop()
+                used.discard(path.pop())
+                continue
+            u = untried[-1].pop()
+            path.append(u)
+            used.add(u)
+            fresh = [p for p in d.pred[u] if p not in jset and p not in used]
+            if fresh:
+                untried.append(fresh)
+                continue
+            if max_paths is not None and len(out) >= max_paths:
+                raise CycleLimitError(
+                    f"more than {max_paths} feeder paths; "
+                    "raise the cap to proceed"
+                )
+            out.append(FeederPath(tuple(reversed(path))))
+            used.discard(path.pop())
     out.sort(key=lambda p: p.nodes)
     return out
 

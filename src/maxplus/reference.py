@@ -35,6 +35,7 @@ from .semiring import (
     MpMatrix,
     MpVector,
     ScaledBasis,
+    SpanIndex,
     in_span,
     mp_dot,
     unit,
@@ -199,14 +200,20 @@ def extremal_filter(gens: GeneratorSet | Iterable[MpVector]) -> ScaledBasis:
 
     A scaled generator is extremal exactly when it is not a combination of
     the other scaled generators, so one span test per distinct scaled
-    vector suffices.  The result is the unique scaled basis of the spanned
-    subsemimodule.
+    vector suffices.  The tests share one :class:`SpanIndex`, and a vector
+    found redundant leaves it at once: the scaled extremals belong to
+    every scaled generating set, so those remaining still span the same
+    subsemimodule.  The result is its unique scaled basis.
     """
     vectors = gens.vectors if isinstance(gens, GeneratorSet) else tuple(gens)
     scaled = sorted({v.scaled() for v in vectors})
-    keep = [
-        v for v in scaled if not in_span(v, [w for w in scaled if w != v])
-    ]
+    index = SpanIndex(scaled)
+    keep = []
+    for v in scaled:
+        if in_span(v, index, v):
+            index.discard(v)
+        else:
+            keep.append(v)
     return ScaledBasis(keep)
 
 
@@ -221,8 +228,10 @@ class SpanOracle:
     A scaled solution v is extremal exactly when it is not a combination
     of the other scaled generators; extremals belong to every scaled
     generating set, so testing against this particular one is conclusive.
-    Callers guarantee v solves A (x) >= x and is scaled.  Verdicts are
-    memoized; the search revisits the same scaled vectors often.
+    Callers guarantee v solves A (x) >= x and is scaled.  The generators
+    sit in a :class:`SpanIndex` built once and never changed, so worker
+    threads may share an oracle.  Verdicts are memoized; the search
+    revisits the same scaled vectors often.
     """
 
     __slots__ = ("_gens", "_cache")
@@ -235,12 +244,12 @@ class SpanOracle:
         max_cycles: int | None = DEFAULT_MAX_CYCLES,
     ):
         gens = cycle_path_generators(a, cycles=cycles, max_cycles=max_cycles)
-        self._gens = gens.scaled_set()
+        self._gens = SpanIndex(gens.scaled_set())
         self._cache: dict[MpVector, bool] = {}
 
     def __call__(self, v: MpVector) -> bool:
         hit = self._cache.get(v)
         if hit is None:
-            hit = not in_span(v, [w for w in self._gens if w != v])
+            hit = not in_span(v, self._gens, v)
             self._cache[v] = hit
         return hit

@@ -267,8 +267,6 @@ def residual(v: MpVector, w: MpVector) -> ExtReal:
         raise DimensionError(
             f"residual of vectors of dimension {len(v)} and {len(w)}"
         )
-    if not w.is_proper:
-        raise ImproperVectorError("residual by the all -inf vector")
     best: ExtReal | None = None
     for vi, wi in zip(v, w):
         if wi is NEG_INF:
@@ -278,25 +276,95 @@ def residual(v: MpVector, w: MpVector) -> ExtReal:
         d = vi - wi
         if best is None or d < best:
             best = d
+    if best is None:
+        raise ImproperVectorError("residual by the all -inf vector")
     return best
 
 
-def in_span(v: MpVector, gens: Iterable[MpVector]) -> bool:
-    """Whether v is a max-plus combination of the given generators.
+def _support_mask(x: MpVector) -> int:
+    """Bit i set exactly when entry i is finite."""
+    return sum(1 << i for i, e in enumerate(x) if e is not NEG_INF)
 
-    Uses the principal solution: v lies in the span iff the join of
-    residual(v, w) + w over all generators w reproduces v exactly.
+
+class SpanIndex:
+    """A set of proper generators of equal dimension with their support masks.
+
+    Built once and then used for many :func:`in_span` tests.  Only
+    :meth:`discard` changes an index; share one across threads only when
+    nobody calls it.
     """
-    acc: list[ExtReal] = [NEG_INF] * len(v)
-    for w in gens:
-        c = residual(v, w)
-        if c is NEG_INF:
+
+    __slots__ = ("dimension", "masks")
+
+    def __init__(self, gens: Iterable[MpVector]):
+        self.dimension: int | None = None
+        self.masks: dict[MpVector, int] = {}
+        for w in gens:
+            if self.dimension is None:
+                self.dimension = len(w)
+            elif len(w) != self.dimension:
+                raise DimensionError(
+                    f"generators of dimension {self.dimension} and {len(w)}"
+                )
+            mask = _support_mask(w)
+            if not mask:
+                raise ImproperVectorError("the all -inf vector as a generator")
+            self.masks[w] = mask
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def discard(self, w: MpVector) -> None:
+        """Remove w, if present."""
+        self.masks.pop(w, None)
+
+
+def in_span(
+    v: MpVector,
+    gens: SpanIndex | Iterable[MpVector],
+    skip: MpVector | None = None,
+) -> bool:
+    """Whether v is a max-plus combination of the generators other than skip.
+
+    Pass a :class:`SpanIndex` to reuse the support masks across tests.
+    Only a generator w whose support lies inside the support of v can take
+    part, with coefficient residual(v, w); since residual(v, w) + w <= v,
+    v lies in the span iff every finite coordinate of v is reached exactly
+    by some such term (the principal solution).  So the answer is no,
+    without any residual, when the supports of those generators do not
+    cover the support of v; otherwise the test stops as soon as every
+    coordinate is reached.
+    """
+    index = gens if isinstance(gens, SpanIndex) else SpanIndex(gens)
+    if index.dimension is not None and len(v) != index.dimension:
+        raise DimensionError(
+            f"vector of dimension {len(v)} against generators of "
+            f"dimension {index.dimension}"
+        )
+    todo = _support_mask(v)
+    outside = ~todo
+    live = [
+        (w, m) for w, m in index.masks.items() if not m & outside and w != skip
+    ]
+    reach = 0
+    for _, mask in live:
+        reach |= mask
+    if reach != todo:
+        return False
+    for w, mask in live:
+        bits = mask & todo
+        if not bits:
             continue
-        for i, wi in enumerate(w):
-            e = c + wi
-            if acc[i] < e:
-                acc[i] = e
-    return all(a == b for a, b in zip(acc, v))
+        c = residual(v, w)
+        while bits:
+            low = bits & -bits
+            i = low.bit_length() - 1
+            if c + w[i] == v[i]:
+                todo ^= low
+            bits ^= low
+        if not todo:
+            return True
+    return not todo
 
 
 class ScaledBasis:

@@ -4,8 +4,9 @@ The oracles here deliberately avoid the production code paths: cycles come
 from a plain recursive DFS rather than the library's enumerator, the cycle
 mean is a maximum over explicit cycle weights rather than a recurrence, and
 feeder-path maximality is checked by restricted reachability rather than by
-the enumerator's leaf rule.  Agreement between the two sides is then
-meaningful evidence.
+the enumerator's leaf rule, and span membership joins the principal
+solution over every generator rather than pruning by support.  Agreement
+between the two sides is then meaningful evidence.
 """
 
 from __future__ import annotations
@@ -13,7 +14,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from maxplus import ExtReal, MpMatrix, MpVector, NEG_INF, parse_matrix, parse_vector
+from typing import Iterable
+
+from maxplus import (
+    ExtReal,
+    MpMatrix,
+    MpVector,
+    NEG_INF,
+    parse_matrix,
+    parse_vector,
+    residual,
+)
 
 EXAMPLE_TEXT = """\
 -3 1 -inf -inf -inf
@@ -206,6 +217,24 @@ def brute_feeder_paths(
     for end in cycle_nodes:
         grow([end])
     return {p for p in candidates if valid_feeder_path(a, cycle_nodes, p)}
+
+
+def brute_in_span(v: MpVector, gens: Iterable[MpVector]) -> bool:
+    """Whether v is a max-plus combination of the given generators.
+
+    Uses the principal solution: v lies in the span iff the join of
+    residual(v, w) + w over all generators w reproduces v exactly.
+    """
+    acc: list[ExtReal] = [NEG_INF] * len(v)
+    for w in gens:
+        c = residual(v, w)
+        if c is NEG_INF:
+            continue
+        for i, wi in enumerate(w):
+            e = c + wi
+            if acc[i] < e:
+                acc[i] = e
+    return all(a == b for a, b in zip(acc, v))
 
 
 def mk(rows) -> MpMatrix:

@@ -1,8 +1,12 @@
 """End-to-end command line tests: golden outputs, exit codes, env handling."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,18 @@ class TestLambdaCommand:
         f = write(tmp_path, "-inf 0\n-inf -inf\n")
         assert cli.main(["lambda", f]) == 0
         assert capsys.readouterr().out == "-inf\n"
+
+    def test_python_dash_m(self, example_file, capsys):
+        assert cli.main(["lambda", example_file]) == 0
+        want = capsys.readouterr().out
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-m", "maxplus", "lambda", example_file],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
 
 class TestCycles:

@@ -168,6 +168,15 @@ class TestFeederPaths:
         with pytest.raises(CycleLimitError):
             feeder_paths(d, c, 3)
 
+    def test_long_chain_into_loop(self):
+        # 0 -> 1 -> ... -> 1199 with a loop at 1199: one path deeper than
+        # the default recursion limit
+        n = 1200
+        arcs = {(i, i + 1): 0 for i in range(n - 1)}
+        arcs[(n - 1, n - 1)] = 0
+        got = feeder_paths(Digraph(n, arcs), Cycle((n - 1,), 0))
+        assert [p.nodes for p in got] == [tuple(range(n))]
+
 
 class TestReverseReachable:
     def test_worked_example(self):

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus import (
     NEG_INF,
@@ -11,6 +13,7 @@ from maxplus import (
     GeneratorSet,
     ImproperVectorError,
     MpMatrix,
+    MpVector,
     ScaledBasis,
     SpanOracle,
     SystemRow,
@@ -28,10 +31,30 @@ from maxplus import (
 )
 from support import (
     NI,
+    brute_in_span,
     example_basis_vectors,
     example_matrix,
     mk,
     rand_matrix,
+)
+
+
+def brute_extremal(v, scaled):
+    """Not in the span of the other scaled generators, by the principal solution."""
+    return not brute_in_span(v, [w for w in scaled if w != v])
+
+
+small_entries = st.one_of(
+    st.just(NI), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=2)
+)
+proper_vector_lists = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(small_entries, min_size=n, max_size=n)
+        .map(MpVector)
+        .filter(lambda v: v.is_proper),
+        min_size=1,
+        max_size=10,
+    )
 )
 
 
@@ -196,6 +219,12 @@ class TestExtremalFilter:
         with pytest.raises(ImproperVectorError):
             extremal_filter([vector([NI, NI])])
 
+    @given(proper_vector_lists)
+    def test_verdicts_match_principal_solution(self, vs):
+        scaled = sorted({v.scaled() for v in vs})
+        want = [v for v in scaled if brute_extremal(v, scaled)]
+        assert list(extremal_filter(vs)) == want
+
     def test_worked_example_both_routes(self):
         a = example_matrix()
         want = ScaledBasis(example_basis_vectors())
@@ -244,6 +273,19 @@ class TestSpanOracle:
             oracle = SpanOracle(a)
             accepted = [g for g in gens.scaled_set() if oracle(g)]
             assert accepted == list(extremal_filter(gens))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32))
+    def test_verdicts_match_principal_solution(self, seed):
+        # generators and joins of pairs of them: all solutions, some extremal
+        rng = random.Random(seed)
+        a = rand_matrix(rng, rng.randint(2, 5))
+        scaled = cycle_path_generators(a).scaled_set()
+        oracle = SpanOracle(a)
+        probes = list(scaled)
+        probes += [x.join(y) for x, y in itertools.combinations(scaled[:8], 2)]
+        for v in probes:
+            assert oracle(v) == brute_extremal(v, scaled), (a, v)
 
 
 class TestGeneratorSet:

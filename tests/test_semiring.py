@@ -13,6 +13,8 @@ from maxplus import (
     MpMatrix,
     MpVector,
     ScaledBasis,
+    SpanIndex,
+    bottom,
     format_scalar,
     format_vector,
     in_span,
@@ -24,7 +26,13 @@ from maxplus import (
     vec_scale,
     vector,
 )
-from support import example_matrix, naive_apply, rand_matrix, rand_vector
+from support import (
+    brute_in_span,
+    example_matrix,
+    naive_apply,
+    rand_matrix,
+    rand_vector,
+)
 
 import random
 
@@ -37,6 +45,25 @@ scalars = st.one_of(st.just(NEG_INF), finite)
 
 def vectors(n: int):
     return st.lists(scalars, min_size=n, max_size=n).map(MpVector)
+
+
+@st.composite
+def span_cases(draw):
+    """(v, generators): proper generators with repeats, and a v that is
+    random, a combination of some generators, or the all -inf vector."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(vectors(n).filter(lambda w: w.is_proper), max_size=6))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=3))
+    kind = draw(st.sampled_from(["random", "combination", "bottom"]))
+    if kind == "bottom":
+        return bottom(n), gens
+    if kind == "random" or not gens:
+        return draw(vectors(n)), gens
+    v = bottom(n)
+    for w in draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4)):
+        v = v.join(w.scale(draw(finite)))
+    return v, gens
 
 
 class TestScalarLaws:
@@ -235,6 +262,50 @@ class TestInSpan:
             extra = rand_vector(rng, n)
             if extra.is_proper:
                 assert in_span(combo, gens + [extra])
+
+    @given(span_cases())
+    def test_agrees_with_principal_solution(self, case):
+        v, gens = case
+        want = brute_in_span(v, gens)
+        assert in_span(v, gens) == want
+        assert in_span(v, SpanIndex(gens)) == want
+
+    @given(span_cases(), st.data())
+    def test_skip_leaves_out_every_copy(self, case, data):
+        v, gens = case
+        skip = data.draw(st.sampled_from(gens + [v]))
+        index = SpanIndex(gens)
+        want = brute_in_span(v, [w for w in gens if w != skip])
+        assert in_span(v, index, skip) == want
+        assert len(index) == len(set(gens))
+
+    @given(span_cases(), st.data())
+    def test_discard_removes_every_copy(self, case, data):
+        v, gens = case
+        if not gens:
+            return
+        gone = data.draw(st.sampled_from(gens))
+        index = SpanIndex(gens)
+        index.discard(gone)
+        rest = [w for w in gens if w != gone]
+        assert len(index) == len(set(rest))
+        assert in_span(v, index) == brute_in_span(v, rest)
+
+    @pytest.mark.parametrize("check", [in_span, brute_in_span])
+    def test_generator_of_other_dimension(self, check):
+        with pytest.raises(DimensionError):
+            check(vector([0, -1]), [vector([0, -1, 0])])
+        with pytest.raises(DimensionError):
+            check(vector([0, -1]), [vector([0, 0]), vector([0])])
+        with pytest.raises(DimensionError):
+            check(bottom(2), [vector([0])])
+
+    @pytest.mark.parametrize("check", [in_span, brute_in_span])
+    def test_improper_generator(self, check):
+        with pytest.raises(ImproperVectorError):
+            check(vector([0, -1]), [vector([0, 0]), bottom(2)])
+        with pytest.raises(ImproperVectorError):
+            check(bottom(2), [bottom(2)])
 
 
 class TestScaledBasis:
