@@ -10,15 +10,13 @@ Subcommands:
 * ``verify FILE``      recompute the basis three ways and compare
 
 Exit codes: 0 success, 1 verify mismatch, 2 usage or parse error,
-3 enumeration cap exceeded.  ``MAXPLUS_THREADS`` bounds internal
-parallelism (default: all cores).
+3 enumeration cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,10 +24,11 @@ from .digraph import (
     DEFAULT_MAX_CYCLES,
     CycleLimitError,
     Digraph,
-    feeder_paths,
     max_cycle_mean,
     nonneg_elementary_cycles,
 )
+# Unused here; kept so perfbench/tracer.py can patch it in this module.
+from .digraph import feeder_paths  # noqa: F401
 from .extremals import (
     BasisResult,
     SearchStats,
@@ -37,12 +36,13 @@ from .extremals import (
     generator_enumeration,
     in_supereig,
 )
-from .matrixio import MatrixDocument, MatrixParseError, parse_matrix, parse_vector
+from .matrixio import MatrixParseError, parse_matrix, parse_vector
 from .reference import (
     SpanOracle,
     TwoSidedSystem,
     bases_equal,
     cycle_path_generators,
+    cycle_structure,
     double_description,
     extremal_filter,
 )
@@ -58,20 +58,7 @@ METHODS = ("extremal", "wang2020", "dd")
 
 
 class UsageError(ValueError):
-    """Bad flag value or environment setting."""
-
-
-def thread_count() -> int:
-    raw = os.environ.get("MAXPLUS_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        k = int(raw)
-    except ValueError:
-        raise UsageError(f"MAXPLUS_THREADS must be a positive integer, got {raw!r}")
-    if k < 1:
-        raise UsageError(f"MAXPLUS_THREADS must be >= 1, got {k}")
-    return k
+    """Bad flag value."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,39 +106,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> MatrixDocument:
-    return parse_matrix(Path(path).read_text())
+def _load(path: str) -> MpMatrix:
+    return parse_matrix(Path(path).read_text(encoding="utf-8")).matrix
 
 
 def _effective(args) -> MpMatrix:
-    doc = _load(args.file)
+    a = _load(args.file)
     lam = getattr(args, "lam", None)
     if lam is None:
-        return doc.matrix
+        return a
     try:
         shift = parse_scalar(lam)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if shift is NEG_INF:
         raise UsageError("--lambda must be finite")
-    return MatrixDocument(doc.matrix, shift).effective_matrix()
+    return a.shift(-shift)
 
 
-def _basis_by_method(
-    a: MpMatrix, method: str, cap: int, threads: int
-) -> BasisResult:
+def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
     if method == "extremal":
-        return extremal_basis(a, max_cycles=cap, threads=threads)
+        return extremal_basis(a, max_cycles=cap)
     lam = max_cycle_mean(a)
     if method == "wang2020":
-        d = Digraph.from_matrix(a)
-        cycles = nonneg_elementary_cycles(d, cap)
-        n_paths = sum(len(feeder_paths(d, c, cap)) for c in cycles)
-        gens = cycle_path_generators(a, cycles=cycles, max_cycles=cap)
+        structure = cycle_structure(a, cap)
+        gens = cycle_path_generators(a, structure=structure)
         basis = extremal_filter(gens)
         stats = SearchStats(
-            cycles=len(cycles),
-            paths=n_paths,
+            cycles=len(structure.cycles),
+            paths=sum(map(len, structure.paths)),
             candidates=len(gens.vectors),
             duplicates=len(gens.vectors) - len(gens.scaled_set()),
         )
@@ -181,9 +164,9 @@ def _print_unsolvable(result: BasisResult) -> None:
         )
 
 
-def _cmd_basis(args, threads: int) -> int:
+def _cmd_basis(args) -> int:
     a = _effective(args)
-    result = _basis_by_method(a, args.method, args.max_cycles, threads)
+    result = _basis_by_method(a, args.method, args.max_cycles)
     if args.json:
         payload = {
             "n": len(a),
@@ -205,11 +188,11 @@ def _cmd_basis(args, threads: int) -> int:
     return 0
 
 
-def _cmd_generators(args, threads: int) -> int:
+def _cmd_generators(args) -> int:
     a = _effective(args)
     cap = args.max_cycles
     if args.method == "extremal":
-        result = generator_enumeration(a, max_cycles=cap, threads=threads)
+        result = generator_enumeration(a, max_cycles=cap)
         _print_unsolvable(result)
         vectors = result.basis.vectors
     elif args.method == "wang2020":
@@ -222,13 +205,13 @@ def _cmd_generators(args, threads: int) -> int:
     return 0
 
 
-def _cmd_lambda(args, threads: int) -> int:
-    print(format_scalar(max_cycle_mean(_load(args.file).matrix)))
+def _cmd_lambda(args) -> int:
+    print(format_scalar(max_cycle_mean(_load(args.file))))
     return 0
 
 
-def _cmd_cycles(args, threads: int) -> int:
-    a = _load(args.file).matrix
+def _cmd_cycles(args) -> int:
+    a = _load(args.file)
     d = Digraph.from_matrix(a)
     for c in nonneg_elementary_cycles(d, args.max_cycles):
         nodes = " ".join(str(v + 1) for v in c.nodes)
@@ -236,8 +219,8 @@ def _cmd_cycles(args, threads: int) -> int:
     return 0
 
 
-def _cmd_check(args, threads: int) -> int:
-    a = _load(args.file).matrix
+def _cmd_check(args) -> int:
+    a = _load(args.file)
     x = parse_vector(args.vector, len(a))
     member = in_supereig(a, x)
     extremal = False
@@ -248,13 +231,13 @@ def _cmd_check(args, threads: int) -> int:
     return 0
 
 
-def _three_bases(a: MpMatrix, cap: int, threads: int) -> dict[str, BasisResult]:
-    return {m: _basis_by_method(a, m, cap, threads) for m in METHODS}
+def _three_bases(a: MpMatrix, cap: int) -> dict[str, BasisResult]:
+    return {m: _basis_by_method(a, m, cap) for m in METHODS}
 
 
-def _cmd_verify(args, threads: int) -> int:
-    a = _load(args.file).matrix
-    results = _three_bases(a, args.max_cycles, threads)
+def _cmd_verify(args) -> int:
+    a = _load(args.file)
+    results = _three_bases(a, args.max_cycles)
     bases = {m: r.basis for m, r in results.items()}
     names = list(bases)
     for other in names[1:]:
@@ -298,12 +281,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        threads = thread_count()
-        return _COMMANDS[args.command](args, threads)
-    except (UsageError, MatrixParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        if args.max_cycles < 0:
+            raise UsageError(f"--max-cycles must be >= 0, got {args.max_cycles}")
+        return _COMMANDS[args.command](args)
+    except (UsageError, MatrixParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CycleLimitError as exc:
@@ -313,3 +294,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

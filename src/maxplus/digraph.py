@@ -13,7 +13,7 @@ raise :class:`CycleLimitError` when it is exceeded.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import networkx as nx
 
@@ -40,10 +40,6 @@ class Cycle(NamedTuple):
     @property
     def node_set(self) -> frozenset[int]:
         return frozenset(self.nodes)
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes)
 
 
 class FeederPath(NamedTuple):
@@ -92,14 +88,6 @@ class Digraph:
 
     def has_arc(self, i: int, j: int) -> bool:
         return (i, j) in self._weights
-
-    def arcs(self) -> Iterator[tuple[int, int, ExtReal]]:
-        for (i, j), w in sorted(self._weights.items()):
-            yield i, j, w
-
-    @property
-    def num_arcs(self) -> int:
-        return len(self._weights)
 
 
 def _nx_graph(d: Digraph) -> "nx.DiGraph":
@@ -204,22 +192,6 @@ def feeder_paths(
             used.discard(path.pop())
     out.sort(key=lambda p: p.nodes)
     return out
-
-
-def reverse_reachable(d: Digraph, v: int) -> frozenset[int]:
-    """Nodes with a path of one or more arcs into ``v``.
-
-    ``v`` itself is included exactly when it lies on a cycle.
-    """
-    reached: set[int] = set()
-    frontier = list(d.pred[v])
-    while frontier:
-        u = frontier.pop()
-        if u in reached:
-            continue
-        reached.add(u)
-        frontier.extend(d.pred[u])
-    return frozenset(reached)
 
 
 def max_cycle_mean(a: MpMatrix) -> ExtReal:

@@ -24,21 +24,19 @@ useful for comparing against the reference constructions.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .digraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
-    Digraph,
     FeederPath,
-    feeder_paths,
     max_cycle_mean,
-    nonneg_elementary_cycles,
     rotations,
 )
-from .reference import SpanOracle
+# Unused here; kept so perfbench/tracer.py can patch them in this module.
+from .digraph import feeder_paths, nonneg_elementary_cycles  # noqa: F401
+from .reference import SpanOracle, cycle_structure
 from .semiring import NEG_INF, ExtReal, MpMatrix, MpVector, ScaledBasis, unit
 
 Oracle = Callable[[MpVector], bool]
@@ -60,16 +58,6 @@ def in_supereig(a: MpMatrix, x: MpVector) -> bool:
     return x.is_proper and all(
         a.row_apply(i, x) >= x[i] for i in range(len(a))
     )
-
-
-def combine_row(a: MpMatrix, i: int, x: MpVector, y: MpVector) -> MpVector:
-    """Mix y into x without leaving row i's solution set.
-
-    Returns  (y_i) (x)  join  (A_i (x)) (y).  When x satisfies row i, the
-    result does too, whatever y is; this is the single step from which
-    both the cycle and the path constructions are built.
-    """
-    return x.scale(y[i]).join(y.scale(a.row_apply(i, x)))
 
 
 @dataclass(frozen=True)
@@ -194,7 +182,7 @@ class SearchStats:
 
     ``candidates`` counts oracle-accepted emissions with multiplicity;
     ``duplicates`` is how many of those repeated an earlier emission.
-    Both are independent of traversal order and thread count.
+    Both are independent of traversal order.
     """
 
     cycles: int
@@ -218,7 +206,6 @@ def extremal_basis(
     *,
     oracle: Oracle | None = None,
     max_cycles: int | None = DEFAULT_MAX_CYCLES,
-    threads: int = 1,
 ) -> BasisResult:
     """Scaled basis of the solutions of A (x) >= x.
 
@@ -229,39 +216,30 @@ def extremal_basis(
     and returns the full enumeration instead (a generating set, usually
     redundant).
 
-    Cycles are processed independently, in parallel when ``threads`` > 1;
-    results merge in cycle order, so output does not depend on thread
-    count.
+    The cycles and feeder paths are enumerated once, by
+    :func:`maxplus.reference.cycle_structure`, and the default oracle is
+    built from that same enumeration.  Cycles are searched one after
+    another, in cycle order.
     """
     lam = max_cycle_mean(a)
     solvable = lam >= 0
     if not solvable:
         return BasisResult(ScaledBasis(()), lam, False, SearchStats(0, 0, 0, 0))
-    d = Digraph.from_matrix(a)
-    cycles = nonneg_elementary_cycles(d, max_cycles)
+    structure = cycle_structure(a, max_cycles)
     if oracle is None:
-        oracle = SpanOracle(a, cycles=cycles, max_cycles=max_cycles)
-
-    def search_cycle(cycle: Cycle) -> tuple[list[MpVector], int]:
+        oracle = SpanOracle(a, structure=structure)
+    pool: list[MpVector] = []
+    for cycle, paths in zip(structure.cycles, structure.paths):
         crun = cycle_terminals(a, cycle, oracle)
-        emitted = crun.extremals()
-        paths = feeder_paths(d, cycle, max_cycles)
+        pool.extend(crun.extremals())
         for path in paths:
             run = crun.run_for(path.end)
             if run.extremal:
-                emitted.extend(path_extremals(a, path, run.scaled, oracle))
-        return emitted, len(paths)
-
-    per_cycle = _map_cycles(search_cycle, cycles, threads)
-    pool: list[MpVector] = []
-    n_paths = 0
-    for emitted, k in per_cycle:
-        pool.extend(emitted)
-        n_paths += k
+                pool.extend(path_extremals(a, path, run.scaled, oracle))
     basis = ScaledBasis(pool)
     stats = SearchStats(
-        cycles=len(cycles),
-        paths=n_paths,
+        cycles=len(structure.cycles),
+        paths=sum(map(len, structure.paths)),
         candidates=len(pool),
         duplicates=len(pool) - len(basis),
     )
@@ -272,12 +250,9 @@ def generator_enumeration(
     a: MpMatrix,
     *,
     max_cycles: int | None = DEFAULT_MAX_CYCLES,
-    threads: int = 1,
 ) -> BasisResult:
     """The search with every candidate kept: a scaled generating set."""
-    return extremal_basis(
-        a, oracle=always_extremal, max_cycles=max_cycles, threads=threads
-    )
+    return extremal_basis(a, oracle=always_extremal, max_cycles=max_cycles)
 
 
 def is_extremal(a: MpMatrix, x: MpVector) -> bool:
@@ -291,10 +266,3 @@ def is_extremal(a: MpMatrix, x: MpVector) -> bool:
     if not in_supereig(a, x):
         return False
     return SpanOracle(a)(x.scaled())
-
-
-def _map_cycles(fn, cycles: Sequence[Cycle], threads: int) -> list:
-    if threads > 1 and len(cycles) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cycles))
-    return [fn(c) for c in cycles]

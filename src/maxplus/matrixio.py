@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .semiring import (
-    ExtReal,
     MpMatrix,
     MpVector,
     format_scalar,
@@ -36,24 +35,13 @@ class MatrixParseError(ValueError):
 
 @dataclass(frozen=True)
 class MatrixDocument:
-    """A parsed square matrix plus an optional eigenparameter shift.
-
-    ``lambda_shift`` is the user-requested threshold L for solving
-    A (x) >= L (x); :meth:`effective_matrix` folds it into the matrix by
-    subtracting L from every entry, reducing to the plain problem.
-    """
+    """A parsed square matrix."""
 
     matrix: MpMatrix
-    lambda_shift: ExtReal | None = None
 
     @property
     def n(self) -> int:
         return len(self.matrix)
-
-    def effective_matrix(self) -> MpMatrix:
-        if self.lambda_shift is None or self.lambda_shift == 0:
-            return self.matrix
-        return self.matrix.shift(-self.lambda_shift)
 
 
 def parse_matrix(text: str) -> MatrixDocument:

@@ -26,6 +26,7 @@ from .digraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
     Digraph,
+    FeederPath,
     feeder_paths,
     nonneg_elementary_cycles,
 )
@@ -44,11 +45,10 @@ from .semiring import (
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Vectors spanning a subsemimodule, with optional provenance tags."""
+    """Vectors spanning a subsemimodule."""
 
     dimension: int
     vectors: tuple[MpVector, ...]
-    origins: tuple[str, ...] | None = None
 
     def scaled_set(self) -> tuple[MpVector, ...]:
         """Distinct scaled forms of the generators, canonically sorted."""
@@ -88,6 +88,31 @@ class TwoSidedSystem:
 
     def satisfied_by(self, x: MpVector) -> bool:
         return all(mp_dot(r.lower, x) <= mp_dot(r.upper, x) for r in self.rows)
+
+
+class CycleStructure(NamedTuple):
+    """The nonnegative elementary cycles of a matrix and their feeder paths.
+
+    ``paths[k]`` holds the maximal feeder paths of ``cycles[k]``.  This is
+    the one walk every cycle-based route makes over a matrix.
+    """
+
+    cycles: tuple[Cycle, ...]
+    paths: tuple[tuple[FeederPath, ...], ...]
+
+
+def cycle_structure(
+    a: MpMatrix, max_cycles: int | None = DEFAULT_MAX_CYCLES
+) -> CycleStructure:
+    """Enumerate the cycles, then the feeder paths of each, once.
+
+    ``max_cycles`` caps the cycle enumeration and each cycle's path
+    enumeration; exceeding it raises CycleLimitError.
+    """
+    d = Digraph.from_matrix(a)
+    cycles = tuple(nonneg_elementary_cycles(d, max_cycles))
+    paths = tuple(tuple(feeder_paths(d, c, max_cycles)) for c in cycles)
+    return CycleStructure(cycles, paths)
 
 
 def _cycle_generators(a: MpMatrix, cycle: Cycle) -> list[MpVector]:
@@ -138,35 +163,26 @@ def _path_generators(
 def cycle_path_generators(
     a: MpMatrix,
     *,
-    cycles: list[Cycle] | None = None,
+    structure: CycleStructure | None = None,
     max_cycles: int | None = DEFAULT_MAX_CYCLES,
 ) -> GeneratorSet:
     """Closed-form generating set of {x : A (x) >= x}.
 
     Every solution is a max-plus combination of these vectors.  The set is
     deliberately unfiltered; apply :func:`extremal_filter` to reduce it to
-    the scaled basis.  Pass precomputed ``cycles`` to share enumeration
-    work with other passes over the same matrix.
+    the scaled basis.  Pass the matrix's :func:`cycle_structure` to reuse
+    an enumeration already made; otherwise one is made here.  For each
+    cycle, its rotation generators come first, then its path generators.
     """
-    d = Digraph.from_matrix(a)
-    if cycles is None:
-        cycles = nonneg_elementary_cycles(d, max_cycles)
+    if structure is None:
+        structure = cycle_structure(a, max_cycles)
     vectors: list[MpVector] = []
-    origins: list[str] = []
-
-    def tag(kind: str, nodes: tuple[int, ...], k: int) -> str:
-        shown = ",".join(str(v + 1) for v in nodes)
-        return f"{kind} ({shown}) #{k}"
-
-    for cycle in cycles:
+    for cycle, paths in zip(structure.cycles, structure.paths):
         gens = _cycle_generators(a, cycle)
         vectors.extend(gens)
-        origins.extend(tag("cycle", cycle.nodes, j) for j in range(len(gens)))
-        for path in feeder_paths(d, cycle, max_cycles):
-            steps = _path_generators(a, cycle, gens, path.nodes)
-            vectors.extend(steps)
-            origins.extend(tag("path", path.nodes, q) for q in range(len(steps)))
-    return GeneratorSet(len(a), tuple(vectors), tuple(origins))
+        for path in paths:
+            vectors.extend(_path_generators(a, cycle, gens, path.nodes))
+    return GeneratorSet(len(a), tuple(vectors))
 
 
 def double_description(system: TwoSidedSystem) -> GeneratorSet:
@@ -229,9 +245,11 @@ class SpanOracle:
     of the other scaled generators; extremals belong to every scaled
     generating set, so testing against this particular one is conclusive.
     Callers guarantee v solves A (x) >= x and is scaled.  The generators
-    sit in a :class:`SpanIndex` built once and never changed, so worker
-    threads may share an oracle.  Verdicts are memoized; the search
-    revisits the same scaled vectors often.
+    sit in a :class:`SpanIndex` built once and never changed.  Pass the
+    matrix's :func:`cycle_structure` when the caller has already
+    enumerated it, so the cycles and paths are walked only once.
+    Verdicts are memoized; the search revisits the same scaled vectors
+    often.
     """
 
     __slots__ = ("_gens", "_cache")
@@ -240,10 +258,10 @@ class SpanOracle:
         self,
         a: MpMatrix,
         *,
-        cycles: list[Cycle] | None = None,
+        structure: CycleStructure | None = None,
         max_cycles: int | None = DEFAULT_MAX_CYCLES,
     ):
-        gens = cycle_path_generators(a, cycles=cycles, max_cycles=max_cycles)
+        gens = cycle_path_generators(a, structure=structure, max_cycles=max_cycles)
         self._gens = SpanIndex(gens.scaled_set())
         self._cache: dict[MpVector, bool] = {}
 

@@ -14,6 +14,7 @@ mismatches raise :class:`DimensionError`; normalizing the vector that is
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -100,10 +101,6 @@ NEG_INF = _NegInf()
 ExtReal = Union[int, Fraction, _NegInf]
 
 
-def is_finite(x: ExtReal) -> bool:
-    return x is not NEG_INF
-
-
 def as_scalar(x: object) -> ExtReal:
     """Coerce ``x`` to a semiring scalar, rejecting floats and other types."""
     if isinstance(x, (int, Fraction, _NegInf)) and not isinstance(x, bool):
@@ -133,10 +130,6 @@ class MpVector(tuple):
     def scale(self, c: ExtReal) -> "MpVector":
         """Add the scalar ``c`` to every entry (max-plus scalar multiple)."""
         return MpVector(c + e for e in self)
-
-    def norm(self) -> ExtReal:
-        """Largest entry; NEG_INF for the improper vector."""
-        return max(self)
 
     def normalized(self) -> tuple[ExtReal, "MpVector"]:
         """Split into (norm, scaled vector with largest entry 0).
@@ -248,13 +241,6 @@ class MpMatrix(tuple):
             raise ValueError("shift amount must be finite")
         return MpMatrix(row.scale(c) for row in self)
 
-def vec_join(x: MpVector, y: MpVector) -> MpVector:
-    return x.join(y)
-
-
-def vec_scale(c: ExtReal, x: MpVector) -> MpVector:
-    return x.scale(c)
-
 
 def residual(v: MpVector, w: MpVector) -> ExtReal:
     """Largest scalar c with c + w <= v entrywise; NEG_INF when none exists.
@@ -290,8 +276,7 @@ class SpanIndex:
     """A set of proper generators of equal dimension with their support masks.
 
     Built once and then used for many :func:`in_span` tests.  Only
-    :meth:`discard` changes an index; share one across threads only when
-    nobody calls it.
+    :meth:`discard` changes an index.
     """
 
     __slots__ = ("dimension", "masks")
@@ -406,6 +391,9 @@ class ScaledBasis:
         return f"ScaledBasis({list(self.vectors)!r})"
 
 
+_SCALAR_TOKEN = re.compile(r"[-+]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)")
+
+
 def format_scalar(x: ExtReal) -> str:
     """Render a scalar as '-inf', an integer, or 'p/q' in lowest terms."""
     if x is NEG_INF:
@@ -417,11 +405,14 @@ def parse_scalar(token: str) -> ExtReal:
     """Parse '-inf', integer, fraction 'p/q', or exact decimal tokens.
 
     Decimals are converted exactly: '2.5' becomes 5/2, never a float.
-    Raises ValueError on anything else.
+    Raises ValueError on anything else, exponent notation included: a
+    token like '1e999999999' would make Fraction build a huge power of ten.
     """
     tok = token.strip()
     if tok in ("-inf", "-Inf", "-INF"):
         return NEG_INF
+    if not _SCALAR_TOKEN.fullmatch(tok):
+        raise ValueError(f"bad scalar token {token!r}")
     try:
         f = Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:

@@ -237,6 +237,15 @@ def brute_in_span(v: MpVector, gens: Iterable[MpVector]) -> bool:
     return all(a == b for a, b in zip(acc, v))
 
 
+def combine_row(a: MpMatrix, i: int, x: MpVector, y: MpVector) -> MpVector:
+    """Mix y into x without leaving row i's solution set.
+
+    Returns  (y_i) (x)  join  (A_i (x)) (y).  When x satisfies row i, the
+    result does too, whatever y is; the c6 lemma test checks this.
+    """
+    return x.scale(y[i]).join(y.scale(a.row_apply(i, x)))
+
+
 def mk(rows) -> MpMatrix:
     """Shorthand matrix builder for literal test data."""
     return MpMatrix.from_rows(rows)

@@ -22,7 +22,6 @@ from maxplus import (
     TwoSidedSystem,
     always_extremal,
     bases_equal,
-    combine_row,
     cycle_path_generators,
     cycle_terminals,
     double_description,
@@ -41,6 +40,7 @@ from maxplus import (
 from support import (
     brute_in_span,
     brute_max_cycle_mean,
+    combine_row,
     example_basis_vectors,
     example_matrix,
     rand_matrix,
@@ -224,10 +224,10 @@ def test_c6_lemmas():
     while checks < 1000:
         a = rand_matrix(rng, rng.randint(2, 6))
         for c in nonneg_elementary_cycles(Digraph.from_matrix(a), None):
-            if c.length < 2:
+            if len(c.nodes) < 2:
                 continue
             for r in cycle_terminals(a, c, always_extremal).runs:
-                t = c.length
+                t = len(c.nodes)
                 if r.steps != t - 1:
                     continue
                 rot = next(

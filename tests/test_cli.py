@@ -1,4 +1,4 @@
-"""End-to-end command line tests: golden outputs, exit codes, env handling."""
+"""End-to-end command line tests: golden outputs, exit codes, enumeration counts."""
 
 import json
 import os
@@ -18,7 +18,7 @@ from maxplus import (
     render_matrix,
     unit,
 )
-from maxplus import cli
+from maxplus import cli, digraph, extremals, reference
 from support import EXAMPLE_BASIS_TEXT, EXAMPLE_TEXT, example_matrix, rand_matrix
 
 ALL_ZEROS_3 = "0 0 0\n0 0 0\n0 0 0\n"
@@ -32,15 +32,21 @@ def example_file(tmp_path):
     return str(f)
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("MAXPLUS_THREADS", raising=False)
-
-
 def write(tmp_path, text, name="m.txt"):
     f = tmp_path / name
     f.write_text(text)
     return str(f)
+
+
+def run_module(module, *args):
+    """``python -m module args`` with this checkout's ``src`` importable."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, "-m", module, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestBasis:
@@ -138,6 +144,29 @@ class TestBasis:
         assert payload["solvable"] is False
         assert payload["basis"] == []
 
+    @pytest.mark.parametrize("method", ["extremal", "wang2020"])
+    def test_one_enumeration_per_route(self, example_file, capsys, monkeypatch, method):
+        calls = {"nonneg_elementary_cycles": [], "feeder_paths": []}
+
+        def counting(name):
+            fn = getattr(digraph, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapper = counting(name)
+            for module in (cli, extremals, reference):
+                monkeypatch.setattr(module, name, wrapper)
+        assert cli.main(["basis", example_file, "--method", method]) == 0
+        assert capsys.readouterr().out == BASIS_BLOB
+        assert len(calls["nonneg_elementary_cycles"]) == 1
+        walked = sorted(args[1].nodes for args in calls["feeder_paths"])
+        assert walked == [(0, 1), (0, 1, 2, 3), (1,), (1, 2)]
+
     def test_bad_lambda_values(self, example_file, capsys):
         assert cli.main(["basis", example_file, "--lambda", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -170,14 +199,9 @@ class TestLambdaCommand:
     def test_python_dash_m(self, example_file, capsys):
         assert cli.main(["lambda", example_file]) == 0
         want = capsys.readouterr().out
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-        done = subprocess.run(
-            [sys.executable, "-m", "maxplus", "lambda", example_file],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+        for module in ("maxplus", "maxplus.cli"):
+            done = run_module(module, "lambda", example_file)
+            assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
 
 class TestCycles:
@@ -242,7 +266,7 @@ class TestVerify:
     def test_mismatch_reporting(self, example_file, capsys, monkeypatch):
         stats = SearchStats(0, 0, 0, 0)
 
-        def fake(a, cap, threads):
+        def fake(a, cap):
             full = ScaledBasis([unit(2, 0), unit(2, 1)])
             short = ScaledBasis([unit(2, 0)])
             return {
@@ -284,19 +308,25 @@ class TestExitCodes:
     def test_bad_method_rejected(self, example_file, capsys):
         assert cli.main(["basis", example_file, "--method", "magic"]) == 2
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"\xff\xfe0\n")
+        assert cli.main(["lambda", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
-class TestThreadsEnv:
-    def test_invalid_values(self, example_file, capsys, monkeypatch):
-        for bad in ("banana", "0", "-2", "1.5"):
-            monkeypatch.setenv("MAXPLUS_THREADS", bad)
-            assert cli.main(["basis", example_file]) == 2
-            assert "MAXPLUS_THREADS" in capsys.readouterr().err
+    def test_negative_cycle_cap(self, example_file, capsys):
+        assert cli.main(["cycles", example_file, "--max-cycles", "-5"]) == 2
+        assert capsys.readouterr().err.startswith("error: --max-cycles")
+        assert cli.main(["lambda", example_file, "--max-cycles", "0"]) == 0
 
-    def test_valid_value_same_output(self, example_file, capsys, monkeypatch):
-        assert cli.main(["basis", example_file]) == 0
-        baseline = capsys.readouterr().out
-        monkeypatch.setenv("MAXPLUS_THREADS", "3")
-        assert cli.main(["basis", example_file]) == 0
-        assert capsys.readouterr().out == baseline
-        assert cli.main(["verify", example_file]) == 0
-        assert capsys.readouterr().out.startswith("OK: 3 methods agree")
+    def test_exponent_tokens_rejected_quickly(self, example_file, tmp_path):
+        # Fraction would expand 1e999999999 into a billion-digit integer.
+        huge = write(tmp_path, "1e999999999\n", name="huge.txt")
+        for args in (
+            ["basis", example_file, "--lambda", "1e999999999"],
+            ["lambda", huge],
+        ):
+            done = run_module("maxplus", *args)
+            assert done.returncode == 2
+            assert done.stderr.startswith("error:")

@@ -11,7 +11,6 @@ from maxplus import (
     MpMatrix,
     SpanOracle,
     always_extremal,
-    combine_row,
     cycle_terminals,
     extremal_basis,
     generator_enumeration,
@@ -27,6 +26,7 @@ from maxplus import (
 )
 from support import (
     NI,
+    combine_row,
     example_basis_vectors,
     example_matrix,
     mk,
@@ -127,11 +127,11 @@ class TestCycleTerminals:
             a = rand_matrix(rng, rng.randint(2, 6))
             cycles = nonneg_elementary_cycles(Digraph.from_matrix(a), None)
             for c in cycles:
-                if c.length < 2:
+                if len(c.nodes) < 2:
                     continue
                 run = cycle_terminals(a, c, always_extremal)
                 for r in run.runs:
-                    t = c.length
+                    t = len(c.nodes)
                     if r.steps != t - 1:
                         continue
                     rot = next(
@@ -291,17 +291,6 @@ class TestExtremalBasis:
             no_memo = extremal_basis(a, oracle=FreshEachTime(a))
             assert default.basis == injected.basis == no_memo.basis
             assert default.stats == injected.stats == no_memo.stats
-
-    def test_thread_count_does_not_change_result(self):
-        a = example_matrix()
-        single = extremal_basis(a, threads=1)
-        multi = extremal_basis(a, threads=4)
-        assert single.basis == multi.basis
-        assert single.stats == multi.stats
-        rng = random.Random(123)
-        for _ in range(6):
-            b = rand_matrix(rng, rng.randint(2, 5))
-            assert extremal_basis(b, threads=3).basis == extremal_basis(b).basis
 
     def test_identity_gives_units(self):
         for n in range(1, 6):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from maxplus import (
     NEG_INF,
-    MatrixDocument,
     MatrixParseError,
     MpMatrix,
     parse_matrix,
@@ -29,7 +28,6 @@ class TestParseMatrix:
     def test_worked_example(self):
         doc = parse_matrix(EXAMPLE_TEXT)
         assert doc.n == 5
-        assert doc.lambda_shift is None
         assert doc.matrix.entry(0, 0) == -3
         assert doc.matrix.entry(2, 3) == 2
         assert doc.matrix.entry(4, 4) is NEG_INF
@@ -108,17 +106,3 @@ class TestParseVector:
         with pytest.raises(MatrixParseError) as err:
             parse_vector("0 oops 2", 3)
         assert err.value.column == 2
-
-
-class TestMatrixDocument:
-    def test_effective_matrix_shifts(self):
-        a = example_matrix()
-        doc = MatrixDocument(a, Fraction(5, 4))
-        shifted = doc.effective_matrix()
-        assert shifted.entry(0, 0) == Fraction(-17, 4)
-        assert shifted.entry(4, 4) is NEG_INF
-
-    def test_no_shift(self):
-        a = example_matrix()
-        assert MatrixDocument(a).effective_matrix() is a
-        assert MatrixDocument(a, 0).effective_matrix() is a

@@ -22,8 +22,6 @@ from maxplus import (
     parse_scalar,
     residual,
     unit,
-    vec_join,
-    vec_scale,
     vector,
 )
 from support import (
@@ -122,9 +120,9 @@ class TestVectorOps:
     def test_join_scale_examples(self):
         x = vector([0, -1, NEG_INF])
         y = vector([-2, 1, 3])
-        assert vec_join(x, y) == vector([0, 1, 3])
-        assert vec_scale(2, x) == vector([2, 1, NEG_INF])
-        assert vec_scale(NEG_INF, y) == vector([NEG_INF] * 3)
+        assert x.join(y) == vector([0, 1, 3])
+        assert x.scale(2) == vector([2, 1, NEG_INF])
+        assert y.scale(NEG_INF) == vector([NEG_INF] * 3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -176,6 +174,9 @@ class TestMatVec:
         assert a.apply(e2) == vector([1, 1, 0, NEG_INF, -2])
         assert a.row_apply(0, e2) == 1
         assert a.row_apply(4, vector([1, 0, 4, 2, NEG_INF])) == 3
+        shifted = a.shift(-Fraction(5, 4))
+        assert shifted.entry(0, 0) == Fraction(-17, 4)
+        assert shifted.entry(4, 4) is NEG_INF
 
     def test_bottom_absorbs(self):
         a = example_matrix()
@@ -348,7 +349,7 @@ class TestScalarText:
             assert got is NEG_INF
 
     def test_parse_rejects_junk(self):
-        for bad in ("inf", "nan", "x", "1/0", ""):
+        for bad in ("inf", "nan", "x", "1/0", "", "1e3", "1e999999999"):
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 
