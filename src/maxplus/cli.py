@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_MAX_CYCLES,
             metavar="K",
-            help="abort (exit 3) past K enumerated cycles or paths [%(default)s]",
+            help="abort (exit 3) past K enumerated cycles or paths, "
+            "or K dd satisfier/violator pairs [%(default)s]",
         )
         if method:
             p.add_argument(
@@ -139,7 +140,7 @@ def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
             duplicates=len(gens.vectors) - len(gens.scaled_set()),
         )
     else:
-        gens = double_description(TwoSidedSystem.supereigen(a))
+        gens = double_description(TwoSidedSystem.supereigen(a), cap)
         basis = extremal_filter(gens)
         stats = SearchStats(0, 0, len(gens.vectors), 0)
     return BasisResult(basis, lam, lam >= 0, stats)
@@ -199,7 +200,7 @@ def _cmd_generators(args) -> int:
         gens = cycle_path_generators(a, max_cycles=cap)
         vectors = gens.scaled_set()
     else:
-        vectors = double_description(TwoSidedSystem.supereigen(a)).vectors
+        vectors = double_description(TwoSidedSystem.supereigen(a), cap).vectors
     for v in vectors:
         print(format_vector(v))
     return 0

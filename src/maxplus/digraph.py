@@ -228,7 +228,8 @@ def max_cycle_mean(a: MpMatrix) -> ExtReal:
                 if f is NEG_INF:
                     continue
                 cand = f + w
-                if cand > cur[vi]:
+                old = cur[vi]
+                if old is NEG_INF or cand > old:
                     cur[vi] = cand
         last = table[m]
         for vi in range(m):
@@ -245,6 +246,6 @@ def max_cycle_mean(a: MpMatrix) -> ExtReal:
                     worst = mean
             # A length-m walk in an m-node component repeats a node, so a
             # strictly shorter walk to vi exists and worst is set.
-            if worst is not None and worst > best:
+            if worst is not None and (best is NEG_INF or worst > best):
                 best = worst
     return best

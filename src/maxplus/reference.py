@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple
 from .digraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
+    CycleLimitError,
     Digraph,
     FeederPath,
     feeder_paths,
@@ -185,7 +186,9 @@ def cycle_path_generators(
     return GeneratorSet(len(a), tuple(vectors))
 
 
-def double_description(system: TwoSidedSystem) -> GeneratorSet:
+def double_description(
+    system: TwoSidedSystem, max_pairs: int | None = DEFAULT_MAX_CYCLES
+) -> GeneratorSet:
     """Generators of {x : lower (x) <= upper (x)} by row-wise intersection.
 
     Maintains generators of the cone cut out by the rows seen so far,
@@ -194,21 +197,67 @@ def double_description(system: TwoSidedSystem) -> GeneratorSet:
     combination  (lower_k (w)) (v)  join  (upper_k (v)) (w),  which lands
     exactly on the row's boundary of feasibility.  Generators are kept in
     scaled deduplicated form after every row.
+
+    ``max_pairs`` caps the satisfier/violator pairs summed over the rows;
+    a row that would pass it raises CycleLimitError before any of its
+    pairs is formed.
     """
     d = system.dimension
     current: list[MpVector] = sorted(unit(d, i) for i in range(d))
+    pairs = 0
     for row in system.rows:
-        scored = [(v, mp_dot(row.lower, v), mp_dot(row.upper, v)) for v in current]
-        sat = [(v, lo, up) for (v, lo, up) in scored if lo <= up]
-        vio = [(w, lo) for (w, lo, up) in scored if lo > up]
-        new = [v for (v, _, _) in sat]
-        for v, _, up_v in sat:
+        sat: list[tuple[MpVector, ExtReal]] = []
+        vio: list[tuple[MpVector, ExtReal]] = []
+        for v in current:
+            lo, up = mp_dot(row.lower, v), mp_dot(row.upper, v)
+            if lo is NEG_INF or (up is not NEG_INF and lo <= up):
+                sat.append((v, up))
+            else:
+                vio.append((v, lo))
+        pairs += len(sat) * len(vio)
+        if max_pairs is not None and pairs > max_pairs:
+            raise CycleLimitError(
+                f"more than {max_pairs} double description pairs; "
+                "raise the cap to proceed"
+            )
+        # Satisfiers are scaled already; insertion order decides which of
+        # two equal vectors (say 1 and Fraction(1)) the set keeps.
+        new = {v for v, _ in sat}
+        for v, up_v in sat:
             for w, lo_w in vio:
-                z = v.scale(lo_w).join(w.scale(up_v))
-                if z.is_proper:
-                    new.append(z)
-        current = sorted({z.scaled() for z in new})
+                z = _boundary_point(v, lo_w, w, up_v)
+                if z is not None:
+                    new.add(z)
+        current = sorted(new)
     return GeneratorSet(d, tuple(current))
+
+
+def _boundary_point(
+    v: MpVector, lo_w: ExtReal, w: MpVector, up_v: ExtReal
+) -> MpVector | None:
+    """``(v.scale(lo_w).join(w.scale(up_v))).scaled()`` in one pass.
+
+    ``lo_w`` is finite (w violates the row).  None when the combination is
+    the all -inf vector.  Ties keep the v side, as ``join`` does.
+    """
+    if up_v is NEG_INF:
+        z = [a if a is NEG_INF else lo_w + a for a in v]
+    else:
+        z = [
+            (b if b is NEG_INF else up_v + b)
+            if a is NEG_INF
+            else lo_w + a
+            if b is NEG_INF
+            else (x if (x := lo_w + a) >= (y := up_v + b) else y)
+            for a, b in zip(v, w)
+        ]
+    finite = [e for e in z if e is not NEG_INF]
+    if not finite:
+        return None
+    m = max(finite)
+    if m == 0:
+        return MpVector(z)
+    return MpVector([e if e is NEG_INF else e - m for e in z])
 
 
 def extremal_filter(gens: GeneratorSet | Iterable[MpVector]) -> ScaledBasis:

@@ -4,8 +4,16 @@ Scalars live in R union {-inf} with join ``max`` and product ``+``.  Finite
 values are plain ``int`` or ``fractions.Fraction`` objects (never floats, so
 every comparison is exact), and the bottom element is the module-level
 singleton ``NEG_INF``.  Python's own ``max`` and ``+`` then act as the
-semiring operations directly, which keeps vector code free of wrapper
+semiring operations directly, which keeps general code free of wrapper
 overhead.
+
+The hot vector operations (``MpVector.join``, ``scale``, ``normalized``,
+``mp_dot``, ``MpMatrix.apply`` and ``row_apply``) never hand ``NEG_INF``
+to an operator: they test each entry with ``is NEG_INF`` and apply ``max``,
+``+`` and ``-`` to finite entries only, which are then plain ``int`` and
+``Fraction`` arithmetic.  The results are the values and types the plain
+operators give: a tie keeps the left (first) entry, as ``max`` does, and
+int/Fraction mixes follow Python's own rules.
 
 Vectors and square matrices are thin immutable tuple subclasses.  Dimension
 mismatches raise :class:`DimensionError`; normalizing the vector that is
@@ -125,11 +133,18 @@ class MpVector(tuple):
             raise DimensionError(
                 f"join of vectors of dimension {len(self)} and {len(other)}"
             )
-        return MpVector(map(max, self, other))
+        return MpVector(
+            [
+                a if b is NEG_INF else b if a is NEG_INF or b > a else a
+                for a, b in zip(self, other)
+            ]
+        )
 
     def scale(self, c: ExtReal) -> "MpVector":
         """Add the scalar ``c`` to every entry (max-plus scalar multiple)."""
-        return MpVector(c + e for e in self)
+        if c is NEG_INF:
+            return MpVector([NEG_INF] * len(self))
+        return MpVector([e if e is NEG_INF else c + e for e in self])
 
     def normalized(self) -> tuple[ExtReal, "MpVector"]:
         """Split into (norm, scaled vector with largest entry 0).
@@ -137,12 +152,13 @@ class MpVector(tuple):
         Raises ImproperVectorError when every entry is -inf, since then no
         scalar multiple has norm 0.
         """
-        m = max(self)
-        if m is NEG_INF:
+        finite = [e for e in self if e is not NEG_INF]
+        if not finite:
             raise ImproperVectorError("cannot normalize the all -inf vector")
+        m = max(finite)
         if m == 0:
             return 0, self
-        return m, MpVector(e - m for e in self)
+        return m, MpVector([e if e is NEG_INF else e - m for e in self])
 
     def scaled(self) -> "MpVector":
         """The unique scalar multiple with largest entry 0."""
@@ -177,7 +193,8 @@ def bottom(n: int) -> MpVector:
 
 def mp_dot(row: Iterable[ExtReal], x: Iterable[ExtReal]) -> ExtReal:
     """Max-plus inner product: max over k of row[k] + x[k]."""
-    return max(a + b for a, b in zip(row, x))
+    sums = [a + b for a, b in zip(row, x) if a is not NEG_INF and b is not NEG_INF]
+    return max(sums) if sums else NEG_INF
 
 
 class MpMatrix(tuple):
@@ -221,7 +238,7 @@ class MpMatrix(tuple):
                 f"applying {len(self)}x{len(self)} matrix to vector of "
                 f"dimension {len(x)}"
             )
-        return MpVector(max(a + b for a, b in zip(row, x)) for row in self)
+        return MpVector([mp_dot(row, x) for row in self])
 
     def row_apply(self, i: int, x: MpVector) -> ExtReal:
         """Single component of the product: max over j of a[i][j] + x[j]."""
@@ -229,7 +246,7 @@ class MpMatrix(tuple):
             raise DimensionError(
                 f"row of width {len(self)} against vector of dimension {len(x)}"
             )
-        return max(a + b for a, b in zip(self[i], x))
+        return mp_dot(self[i], x)
 
     def shift(self, c: ExtReal) -> "MpMatrix":
         """Add the finite scalar ``c`` to every entry.

@@ -18,6 +18,7 @@ from typing import Iterable
 
 from maxplus import (
     ExtReal,
+    ImproperVectorError,
     MpMatrix,
     MpVector,
     NEG_INF,
@@ -251,4 +252,136 @@ def mk(rows) -> MpMatrix:
     return MpMatrix.from_rows(rows)
 
 
+# Structured families.  Each builder returns an MpMatrix; the random ones
+# draw every weight from the given generator, so a seed fixes the matrix.
+
+
+def chain_into_loop(n: int, rng: random.Random | None = None) -> MpMatrix:
+    """A path 1 -> 2 -> ... -> n feeding a self-loop of weight 0 at n.
+
+    Arc weights come from ``rng`` when given, else from a fixed pattern.
+    Its basis has n vectors, but double description grows about as n^4.
+    """
+    rows: list[list[ExtReal]] = [[NEG_INF] * n for _ in range(n)]
+    for i in range(n - 1):
+        rows[i][i + 1] = rng.randint(-3, 3) if rng else i % 7 - 3
+    rows[n - 1][n - 1] = 0
+    return MpMatrix.from_rows(rows)
+
+
+def block_triangular(rng: random.Random, sizes: tuple[int, ...]) -> MpMatrix:
+    """Strongly connected diagonal blocks, arcs only from earlier to later blocks."""
+    n = sum(sizes)
+    rows: list[list[ExtReal]] = [[NEG_INF] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        nodes = range(start, start + size)
+        for k, u in enumerate(nodes):
+            rows[u][nodes[(k + 1) % size]] = rng.randint(-3, 2)
+            for v in nodes:
+                if rows[u][v] is NEG_INF and rng.random() < 0.25:
+                    rows[u][v] = rng.randint(-4, 1)
+            for v in range(start + size, n):
+                if rng.random() < 0.2:
+                    rows[u][v] = rng.randint(-4, 2)
+        start += size
+    return MpMatrix.from_rows(rows)
+
+
+def _exact(x: Fraction) -> ExtReal:
+    return int(x) if x.denominator == 1 else x
+
+
+def fractional_matrix(
+    rng: random.Random, n: int, neg_inf_p: float = 0.55
+) -> MpMatrix:
+    """Random weights p/q with q in {2, 3, 4, 6}, integral ones stored as int."""
+    return MpMatrix.from_rows(
+        [
+            [
+                NEG_INF
+                if rng.random() < neg_inf_p
+                else _exact(Fraction(rng.randint(-12, 8), rng.choice((2, 3, 4, 6))))
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+    )
+
+
+def complete_matrix(rng: random.Random, n: int) -> MpMatrix:
+    """Every arc present, weights mostly negative so few cycles are nonnegative."""
+    return MpMatrix.from_rows(
+        [[rng.randint(-8, 2) for _ in range(n)] for _ in range(n)]
+    )
+
+
+def zero_critical_cycle(a: MpMatrix) -> MpMatrix:
+    """``a`` shifted by minus its maximum cycle mean: critical cycles weigh 0.
+
+    ``a`` must have a cycle.  The shift is exact, so integral results stay
+    ``int`` and the rest become ``Fraction``.
+    """
+    lam = brute_max_cycle_mean(a)
+    return MpMatrix.from_rows(
+        [[e if e is NEG_INF else _exact(Fraction(e - lam)) for e in row] for row in a]
+    )
+
+
 NI = NEG_INF
+
+
+# The max-plus vector operations as first written: each entry goes through
+# Python's max and + and -inf's reflected operators.  The kernel's
+# -inf-aware versions must give equal values of the same types.
+
+
+def brute_join(v: MpVector, w: MpVector) -> MpVector:
+    return MpVector(map(max, v, w))
+
+
+def brute_scale(v: MpVector, c: ExtReal) -> MpVector:
+    return MpVector(c + e for e in v)
+
+
+def brute_normalized(v: MpVector) -> tuple[ExtReal, MpVector]:
+    m = max(v)
+    if m is NEG_INF:
+        raise ImproperVectorError("cannot normalize the all -inf vector")
+    if m == 0:
+        return 0, v
+    return m, MpVector(e - m for e in v)
+
+
+def brute_mp_dot(row: Iterable[ExtReal], x: Iterable[ExtReal]) -> ExtReal:
+    return max(a + b for a, b in zip(row, x))
+
+
+def brute_apply(a: MpMatrix, x: MpVector) -> MpVector:
+    return MpVector(max(p + q for p, q in zip(row, x)) for row in a)
+
+
+def brute_double_description(rows) -> tuple[tuple[MpVector, ...], int]:
+    """Double description as first written, on (lower, upper) row pairs.
+
+    Returns the final generators and the satisfier/violator pairs formed
+    over all rows.
+    """
+    d = len(rows[0][0])
+    current = sorted(
+        MpVector(0 if j == i else NEG_INF for j in range(d)) for i in range(d)
+    )
+    pairs = 0
+    for lower, upper in rows:
+        scored = [(v, brute_mp_dot(lower, v), brute_mp_dot(upper, v)) for v in current]
+        sat = [(v, lo, up) for (v, lo, up) in scored if lo <= up]
+        vio = [(w, lo) for (w, lo, up) in scored if lo > up]
+        pairs += len(sat) * len(vio)
+        new = [v for (v, _, _) in sat]
+        for v, _, up_v in sat:
+            for w, lo_w in vio:
+                z = brute_join(brute_scale(v, lo_w), brute_scale(w, up_v))
+                if any(e is not NEG_INF for e in z):
+                    new.append(z)
+        current = sorted({brute_normalized(z)[1] for z in new})
+    return tuple(current), pairs

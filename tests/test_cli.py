@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,13 @@ from maxplus import (
     unit,
 )
 from maxplus import cli, digraph, extremals, reference
-from support import EXAMPLE_BASIS_TEXT, EXAMPLE_TEXT, example_matrix, rand_matrix
+from support import (
+    EXAMPLE_BASIS_TEXT,
+    EXAMPLE_TEXT,
+    chain_into_loop,
+    example_matrix,
+    rand_matrix,
+)
 
 ALL_ZEROS_3 = "0 0 0\n0 0 0\n0 0 0\n"
 BASIS_BLOB = "\n".join(EXAMPLE_BASIS_TEXT) + "\n"
@@ -304,6 +311,24 @@ class TestExitCodes:
         f = write(tmp_path, ALL_ZEROS_3)
         assert cli.main(["basis", f, "--max-cycles", "2"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_dd_pair_cap_on_long_chain(self, tmp_path, capsys):
+        # Without the cap dd forms about 36,000 pairs here, each of
+        # dimension 60; with it, every dd route stops at the first row
+        # past the cap.
+        f = write(tmp_path, render_matrix(chain_into_loop(60)))
+        for argv in (
+            ["basis", f, "--method", "dd"],
+            ["generators", f, "--method", "dd"],
+            ["verify", f],
+        ):
+            started = time.perf_counter()
+            assert cli.main([*argv, "--max-cycles", "1000"]) == 3, argv
+            assert time.perf_counter() - started < 30
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith("error: more than 1000 double description pairs")
+            assert out.err.count("\n") == 1
 
     def test_bad_method_rejected(self, example_file, capsys):
         assert cli.main(["basis", example_file, "--method", "magic"]) == 2

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from maxplus import (
     NEG_INF,
     Cycle,
+    CycleLimitError,
     CycleStructure,
     GeneratorSet,
     ImproperVectorError,
@@ -33,7 +35,13 @@ from maxplus import (
 )
 from support import (
     NI,
+    block_triangular,
+    brute_double_description,
     brute_in_span,
+    chain_into_loop,
+    complete_matrix,
+    fractional_matrix,
+    zero_critical_cycle,
     example_basis_vectors,
     example_matrix,
     mk,
@@ -199,6 +207,72 @@ class TestDoubleDescription:
         # e2 survives; e1 is cut but recombines with e2 on the boundary
         assert unit(2, 1) in got.vectors
         assert vector([0, 0]) in got.vectors
+
+
+@st.composite
+def tied_systems(draw):
+    """x <= A (x) for a small A of ints, halves and -inf, so ties abound."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(
+        st.just(NEG_INF),
+        st.integers(-2, 2),
+        st.integers(-4, 4).map(lambda k: Fraction(k, 2)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return TwoSidedSystem.supereigen(MpMatrix(MpVector(r) for r in rows))
+
+
+def typed(vectors):
+    """Each entry with its type, so that 1 and Fraction(1) differ."""
+    return [[(e, type(e)) for e in v] for v in vectors]
+
+
+class TestDoubleDescriptionStep:
+    """The one-pass row step against double description as first written."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_systems())
+    def test_same_vectors_of_the_same_types(self, system):
+        want, _ = brute_double_description(system.rows)
+        assert typed(double_description(system).vectors) == typed(want)
+
+    def test_structured_families(self):
+        rng = random.Random(5)
+        for a in (
+            chain_into_loop(12),
+            block_triangular(rng, (3, 2, 3)),
+            fractional_matrix(rng, 5, neg_inf_p=0.3),
+            zero_critical_cycle(complete_matrix(rng, 4)),
+        ):
+            system = TwoSidedSystem.supereigen(a)
+            want, _ = brute_double_description(system.rows)
+            assert typed(double_description(system).vectors) == typed(want)
+
+
+class TestDoubleDescriptionCap:
+    def test_cap_is_the_pair_count(self):
+        system = TwoSidedSystem.supereigen(chain_into_loop(8))
+        _, pairs = brute_double_description(system.rows)
+        assert pairs > 0
+        want = double_description(system, None).vectors
+        assert double_description(system, pairs).vectors == want
+        with pytest.raises(CycleLimitError, match=f"more than {pairs - 1} "):
+            double_description(system, pairs - 1)
+
+    def test_default_cap_and_zero(self):
+        system = TwoSidedSystem.supereigen(example_matrix())
+        assert len(double_description(system).vectors) == 23
+        with pytest.raises(CycleLimitError):
+            double_description(system, 0)
+        # No pairs at all: a system whose rows every generator satisfies.
+        assert double_description(TwoSidedSystem.supereigen(mk([[0]])), 0).vectors == (
+            vector([0]),
+        )
+
+    def test_long_chain_stops_early(self):
+        system = TwoSidedSystem.supereigen(chain_into_loop(120))
+        with pytest.raises(CycleLimitError):
+            double_description(system, 10_000)
 
 
 class TestExtremalFilter:

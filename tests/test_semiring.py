@@ -25,7 +25,12 @@ from maxplus import (
     vector,
 )
 from support import (
+    brute_apply,
     brute_in_span,
+    brute_join,
+    brute_mp_dot,
+    brute_normalized,
+    brute_scale,
     example_matrix,
     naive_apply,
     rand_matrix,
@@ -165,6 +170,91 @@ class TestVectorOps:
         assert vector([0, NEG_INF, 2]).support() == frozenset({0, 2})
         assert unit(4, 2).support() == frozenset({2})
         assert not vector([NEG_INF]).is_proper
+
+
+# Few values, ints and Fractions both, so int/Fraction ties such as 1
+# against Fraction(2, 2) come up often; plus -inf.
+tied = st.one_of(
+    st.just(NEG_INF),
+    st.integers(-3, 3),
+    st.integers(-6, 6).map(lambda k: Fraction(k, 2)),
+)
+
+
+def tied_vectors(n: int):
+    return st.lists(tied, min_size=n, max_size=n).map(MpVector)
+
+
+def same(x, y) -> bool:
+    """Equal, with every entry (or the scalar itself) of the same type."""
+    if isinstance(x, tuple):
+        return x == y and list(map(type, x)) == list(map(type, y))
+    return x == y and type(x) is type(y)
+
+
+pairs_of_vectors = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(tied_vectors(n), tied_vectors(n))
+)
+
+
+class TestKernelMatchesBrute:
+    """The -inf-aware vector operations give the plain operators' results."""
+
+    def test_int_fraction_ties_keep_the_left_entry(self):
+        x, y = vector([1, Fraction(2, 2)]), vector([Fraction(2, 2), 1])
+        assert same(x.join(y), brute_join(x, y))
+        assert [type(e) for e in x.join(y)] == [int, Fraction]
+        assert same(mp_dot(vector([0, 0]), y), Fraction(1))
+        assert same(mp_dot(vector([0, 0]), x), 1)
+
+    @given(pairs_of_vectors)
+    def test_join(self, xy):
+        x, y = xy
+        assert same(x.join(y), brute_join(x, y))
+
+    @given(st.integers(1, 6).flatmap(tied_vectors), tied)
+    def test_scale(self, x, c):
+        assert same(x.scale(c), brute_scale(x, c))
+
+    @given(st.integers(1, 6).flatmap(tied_vectors))
+    def test_normalized_and_scaled(self, x):
+        if not x.is_proper:
+            for f in (MpVector.normalized, MpVector.scaled, brute_normalized):
+                with pytest.raises(ImproperVectorError):
+                    f(x)
+            return
+        norm, sc = x.normalized()
+        want_norm, want_sc = brute_normalized(x)
+        assert same(norm, want_norm)
+        assert same(sc, want_sc)
+        assert same(x.scaled(), want_sc)
+
+    @given(pairs_of_vectors)
+    def test_mp_dot(self, xy):
+        x, y = xy
+        assert same(mp_dot(x, y), brute_mp_dot(x, y))
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(tied_vectors(n), min_size=n, max_size=n).map(MpMatrix),
+                tied_vectors(n),
+            )
+        )
+    )
+    def test_apply_and_row_apply(self, ax):
+        a, x = ax
+        assert same(a.apply(x), brute_apply(a, x))
+        for i in range(len(a)):
+            assert same(a.row_apply(i, x), brute_mp_dot(a[i], x))
+
+    def test_all_neg_inf(self):
+        bot = bottom(3)
+        assert same(bot.join(bot), brute_join(bot, bot))
+        assert same(bot.scale(2), brute_scale(bot, 2))
+        assert same(vector([1, 2, 3]).scale(NEG_INF), bottom(3))
+        assert mp_dot(bot, vector([0, 1, 2])) is NEG_INF
+        assert MpMatrix.identity(3).apply(bot) == bot
 
 
 class TestMatVec:
