@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verify mismatch, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -40,7 +41,6 @@ from .matrixio import MatrixParseError, parse_matrix, parse_vector
 from .reference import (
     SpanOracle,
     TwoSidedSystem,
-    bases_equal,
     cycle_path_generators,
     cycle_structure,
     double_description,
@@ -61,6 +61,7 @@ class UsageError(ValueError):
     """Bad flag value."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxplus",
@@ -128,9 +129,10 @@ def _effective(args) -> MpMatrix:
 def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
     if method == "extremal":
         return extremal_basis(a, max_cycles=cap)
-    lam = max_cycle_mean(a)
+    d = Digraph.from_matrix(a)
+    lam = max_cycle_mean(d)
     if method == "wang2020":
-        structure = cycle_structure(a, cap)
+        structure = cycle_structure(d, cap)
         gens = cycle_path_generators(a, structure=structure)
         basis = extremal_filter(gens)
         stats = SearchStats(
@@ -207,13 +209,12 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    print(format_scalar(max_cycle_mean(_load(args.file))))
+    print(format_scalar(max_cycle_mean(Digraph.from_matrix(_load(args.file)))))
     return 0
 
 
 def _cmd_cycles(args) -> int:
-    a = _load(args.file)
-    d = Digraph.from_matrix(a)
+    d = Digraph.from_matrix(_load(args.file))
     for c in nonneg_elementary_cycles(d, args.max_cycles):
         nodes = " ".join(str(v + 1) for v in c.nodes)
         print(f"{nodes}\t{format_scalar(c.weight)}")
@@ -242,7 +243,7 @@ def _cmd_verify(args) -> int:
     bases = {m: r.basis for m, r in results.items()}
     names = list(bases)
     for other in names[1:]:
-        if not bases_equal(bases[names[0]], bases[other]):
+        if bases[names[0]] != bases[other]:
             left, right = bases[names[0]], bases[other]
             print(
                 f"MISMATCH: {names[0]} found {len(left)} vectors, "

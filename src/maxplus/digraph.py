@@ -1,10 +1,13 @@
 """Precedence digraphs of max-plus matrices and their cycle structure.
 
 A square matrix A induces the digraph with an arc i -> j of weight a[i][j]
-for every finite entry.  This module enumerates the nonnegative elementary
-cycles of that digraph, the maximal feeder paths into a cycle, and computes
+for every finite entry.  This module finds its strongly connected
+components with Tarjan's algorithm (SIAM J. Comput. 1(2), 1972), enumerates
+its nonnegative elementary cycles with Johnson's circuit search (SIAM J.
+Comput. 4(1), 1975) and the maximal feeder paths into a cycle, and computes
 the maximum cycle mean exactly with Karp's recurrence run per strongly
-connected component.
+connected component.  All three walks keep explicit stacks, so depth is not
+bounded by the interpreter's recursion limit.
 
 Cycle and path enumeration can be exponential, so both honor a hard cap and
 raise :class:`CycleLimitError` when it is exceeded.
@@ -13,9 +16,7 @@ raise :class:`CycleLimitError` when it is exceeded.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
-
-import networkx as nx
+from typing import Iterator, NamedTuple
 
 from .semiring import NEG_INF, ExtReal, MpMatrix
 
@@ -90,13 +91,6 @@ class Digraph:
         return (i, j) in self._weights
 
 
-def _nx_graph(d: Digraph) -> "nx.DiGraph":
-    g = nx.DiGraph()
-    g.add_nodes_from(range(d.n))
-    g.add_edges_from((i, j) for (i, j) in d._weights)
-    return g
-
-
 def cycle_weight(d: Digraph, nodes: tuple[int, ...]) -> ExtReal:
     """Total arc weight around an elementary cycle given by its node tuple."""
     total: ExtReal = 0
@@ -107,12 +101,6 @@ def cycle_weight(d: Digraph, nodes: tuple[int, ...]) -> ExtReal:
             raise ValueError(f"missing arc {u} -> {v}")
         total = total + w
     return total
-
-
-def _canonical(nodes: tuple[int, ...]) -> tuple[int, ...]:
-    # Anchor the rotation at the smallest node; elementary, so it is unique.
-    r = nodes.index(min(nodes))
-    return nodes[r:] + nodes[:r]
 
 
 def nonneg_elementary_cycles(
@@ -126,19 +114,119 @@ def nonneg_elementary_cycles(
     """
     out = []
     seen = 0
-    for raw in nx.simple_cycles(_nx_graph(d)):
+    for nodes in _circuits(d):
         seen += 1
         if max_cycles is not None and seen > max_cycles:
             raise CycleLimitError(
                 f"more than {max_cycles} elementary cycles; "
                 "raise the cap to proceed"
             )
-        nodes = _canonical(tuple(raw))
         w = cycle_weight(d, nodes)
         if w >= 0:
             out.append(Cycle(nodes, w))
     out.sort(key=lambda c: c.nodes)
     return out
+
+
+def _cyclic_components(d: Digraph, first: int = 0) -> list[list[int]]:
+    """Tarjan's strongly connected components of the subgraph on the nodes
+    >= ``first``, keeping only those that contain a cycle.
+
+    ``work`` holds the depth-first path as (node, iterator over its
+    untried successors) pairs.
+    """
+    n = d.n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    count = 0
+    for root in range(first, n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(d.succ[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w < first:
+                    continue
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(d.succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    k = stack.index(v)
+                    comp = stack[k:]
+                    del stack[k:]
+                    for u in comp:
+                        on_stack[u] = False
+                    if len(comp) > 1 or d.has_arc(v, v):
+                        comps.append(comp)
+    return comps
+
+
+def _circuits(d: Digraph) -> Iterator[tuple[int, ...]]:
+    """Johnson's search: every elementary circuit once, from its least node.
+
+    The circuits whose least node is s lie in the strongly connected
+    component of s on the nodes >= s, so s jumps to the least node of a
+    component with a cycle.  A node stays blocked while every path from
+    it back to s meets the current path; ``waiting[u]`` holds the nodes
+    to unblock when u is unblocked.
+    """
+    s = 0
+    while comps := _cyclic_components(d, s):
+        comp = min(comps, key=min)
+        s = min(comp)
+        inside = set(comp)
+        succ = {v: [w for w in d.succ[v] if w in inside] for v in comp}
+        blocked = {s}
+        waiting: dict[int, set[int]] = {v: set() for v in comp}
+        path = [s]
+        work = [iter(succ[s])]
+        closed = [False]
+        while work:
+            for w in work[-1]:
+                if w == s:
+                    yield tuple(path)
+                    closed[-1] = True
+                elif w not in blocked:
+                    path.append(w)
+                    blocked.add(w)
+                    work.append(iter(succ[w]))
+                    closed.append(False)
+                    break
+            else:
+                work.pop()
+                v = path.pop()
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    todo = [v]
+                    while todo:
+                        u = todo.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            todo.extend(waiting[u])
+                            waiting[u].clear()
+                else:
+                    for w in succ[v]:
+                        waiting[w].add(v)
+        s += 1
 
 
 def rotations(cycle: Cycle) -> list[Cycle]:
@@ -194,8 +282,8 @@ def feeder_paths(
     return out
 
 
-def max_cycle_mean(a: MpMatrix) -> ExtReal:
-    """Maximum mean weight over all cycles of the matrix digraph.
+def max_cycle_mean(d: Digraph) -> ExtReal:
+    """Maximum mean weight over all cycles of the digraph.
 
     Karp's recurrence, run independently inside each strongly connected
     component: with F[k][v] the best weight of a k-arc walk from a fixed
@@ -203,13 +291,8 @@ def max_cycle_mean(a: MpMatrix) -> ExtReal:
     max over v of min over k of (F[m][v] - F[k][v]) / (m - k).
     Exact rational output; NEG_INF when the digraph is acyclic.
     """
-    d = Digraph.from_matrix(a)
     best: ExtReal = NEG_INF
-    for comp in nx.strongly_connected_components(_nx_graph(d)):
-        if len(comp) == 1:
-            (v,) = comp
-            if not d.has_arc(v, v):
-                continue
+    for comp in _cyclic_components(d):
         nodes = sorted(comp)
         m = len(nodes)
         idx = {v: k for k, v in enumerate(nodes)}
@@ -217,7 +300,7 @@ def max_cycle_mean(a: MpMatrix) -> ExtReal:
             (idx[u], idx[v], d.weight(u, v))
             for u in nodes
             for v in d.succ[u]
-            if v in comp
+            if v in idx
         ]
         table: list[list[ExtReal]] = [[NEG_INF] * m for _ in range(m + 1)]
         table[0][0] = 0

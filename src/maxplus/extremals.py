@@ -30,6 +30,7 @@ from typing import Callable
 from .digraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
+    Digraph,
     FeederPath,
     max_cycle_mean,
     rotations,
@@ -217,15 +218,16 @@ def extremal_basis(
     redundant).
 
     The cycles and feeder paths are enumerated once, by
-    :func:`maxplus.reference.cycle_structure`, and the default oracle is
-    built from that same enumeration.  Cycles are searched one after
-    another, in cycle order.
+    :func:`maxplus.reference.cycle_structure` on the digraph Karp reads,
+    and the default oracle is built from that same enumeration.  Cycles
+    are searched one after another, in cycle order.
     """
-    lam = max_cycle_mean(a)
+    d = Digraph.from_matrix(a)
+    lam = max_cycle_mean(d)
     solvable = lam >= 0
     if not solvable:
         return BasisResult(ScaledBasis(()), lam, False, SearchStats(0, 0, 0, 0))
-    structure = cycle_structure(a, max_cycles)
+    structure = cycle_structure(d, max_cycles)
     if oracle is None:
         oracle = SpanOracle(a, structure=structure)
     pool: list[MpVector] = []

@@ -103,14 +103,13 @@ class CycleStructure(NamedTuple):
 
 
 def cycle_structure(
-    a: MpMatrix, max_cycles: int | None = DEFAULT_MAX_CYCLES
+    d: Digraph, max_cycles: int | None = DEFAULT_MAX_CYCLES
 ) -> CycleStructure:
     """Enumerate the cycles, then the feeder paths of each, once.
 
     ``max_cycles`` caps the cycle enumeration and each cycle's path
     enumeration; exceeding it raises CycleLimitError.
     """
-    d = Digraph.from_matrix(a)
     cycles = tuple(nonneg_elementary_cycles(d, max_cycles))
     paths = tuple(tuple(feeder_paths(d, c, max_cycles)) for c in cycles)
     return CycleStructure(cycles, paths)
@@ -176,7 +175,7 @@ def cycle_path_generators(
     cycle, its rotation generators come first, then its path generators.
     """
     if structure is None:
-        structure = cycle_structure(a, max_cycles)
+        structure = cycle_structure(Digraph.from_matrix(a), max_cycles)
     vectors: list[MpVector] = []
     for cycle, paths in zip(structure.cycles, structure.paths):
         gens = _cycle_generators(a, cycle)
@@ -280,11 +279,6 @@ def extremal_filter(gens: GeneratorSet | Iterable[MpVector]) -> ScaledBasis:
         else:
             keep.append(v)
     return ScaledBasis(keep)
-
-
-def bases_equal(left: ScaledBasis, right: ScaledBasis) -> bool:
-    """Set equality of canonical bases (canonical order makes it tuple equality)."""
-    return tuple(left) == tuple(right)
 
 
 class SpanOracle:

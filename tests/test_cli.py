@@ -174,6 +174,20 @@ class TestBasis:
         walked = sorted(args[1].nodes for args in calls["feeder_paths"])
         assert walked == [(0, 1), (0, 1, 2, 3), (1,), (1, 2)]
 
+    @pytest.mark.parametrize("method", ["extremal", "wang2020", "dd"])
+    def test_one_digraph_per_route(self, example_file, capsys, monkeypatch, method):
+        built = []
+        from_matrix = digraph.Digraph.from_matrix.__func__
+
+        def counting(cls, a):
+            built.append(a)
+            return from_matrix(cls, a)
+
+        monkeypatch.setattr(digraph.Digraph, "from_matrix", classmethod(counting))
+        assert cli.main(["basis", example_file, "--method", method]) == 0
+        assert capsys.readouterr().out == BASIS_BLOB
+        assert len(built) == 1
+
     def test_bad_lambda_values(self, example_file, capsys):
         assert cli.main(["basis", example_file, "--lambda", "bogus"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -344,6 +358,20 @@ class TestExitCodes:
         assert cli.main(["cycles", example_file, "--max-cycles", "-5"]) == 2
         assert capsys.readouterr().err.startswith("error: --max-cycles")
         assert cli.main(["lambda", example_file, "--max-cycles", "0"]) == 0
+
+    def test_repeated_calls_match_fresh_processes(self, example_file, capsys, monkeypatch):
+        # main reuses one parser; a usage error must not leave state behind
+        # that changes the next calls.
+        monkeypatch.setenv("COLUMNS", "80")
+        for args, code in (
+            (["basis", example_file, "--method", "magic"], 2),
+            (["lambda", example_file], 0),
+            (["cycles", example_file, "--max-cycles", "9"], 3),
+        ):
+            assert cli.main(args) == code
+            out = capsys.readouterr()
+            done = run_module("maxplus", *args)
+            assert (code, out.out, out.err) == (done.returncode, done.stdout, done.stderr)
 
     def test_exponent_tokens_rejected_quickly(self, example_file, tmp_path):
         # Fraction would expand 1e999999999 into a billion-digit integer.

@@ -32,6 +32,10 @@ def cycles_of(a, cap=None):
     return nonneg_elementary_cycles(Digraph.from_matrix(a), cap)
 
 
+def mean_of(a):
+    return max_cycle_mean(Digraph.from_matrix(a))
+
+
 class TestDigraph:
     def test_worked_example_arcs(self):
         d = Digraph.from_matrix(example_matrix())
@@ -101,6 +105,19 @@ class TestCycleEnumeration:
         assert len(cycles_of(a, 10)) == 4
         with pytest.raises(CycleLimitError):
             cycles_of(a, 9)
+
+    def test_cap_boundary_matches_brute_force(self):
+        rng = random.Random(4242)
+        tried = 0
+        while tried < 40:
+            a = rand_matrix(rng, rng.randint(1, 7), neg_inf_p=rng.choice([0.3, 0.5, 0.7]))
+            k = len(brute_elementary_cycles(a))
+            if k == 0:
+                continue
+            assert cycles_of(a, k) == cycles_of(a)
+            with pytest.raises(CycleLimitError):
+                cycles_of(a, k - 1)
+            tried += 1
 
     def test_cap_none_means_unbounded(self):
         assert len(cycles_of(example_matrix(), None)) == 4
@@ -180,22 +197,22 @@ class TestFeederPaths:
 
 class TestMaxCycleMean:
     def test_worked_example(self):
-        assert max_cycle_mean(example_matrix()) == Fraction(5, 4)
+        assert mean_of(example_matrix()) == Fraction(5, 4)
 
     def test_identity(self):
-        assert max_cycle_mean(MpMatrix.identity(4)) == 0
+        assert mean_of(MpMatrix.identity(4)) == 0
 
     def test_acyclic(self):
-        assert max_cycle_mean(mk([[NI, 5], [NI, NI]])) is NEG_INF
-        assert max_cycle_mean(mk([[NI]])) is NEG_INF
+        assert mean_of(mk([[NI, 5], [NI, NI]])) is NEG_INF
+        assert mean_of(mk([[NI]])) is NEG_INF
 
     def test_single_entry(self):
-        assert max_cycle_mean(mk([[-7]])) == -7
+        assert mean_of(mk([[-7]])) == -7
 
     def test_mean_not_weight(self):
         # weight 6 over length 3 beats weight 1 loops only if 2 > 1
         a = mk([[NI, 3, NI], [NI, 1, 3], [0, NI, NI]])
-        assert max_cycle_mean(a) == 2
+        assert mean_of(a) == 2
 
     def test_matches_brute_force(self):
         rng = random.Random(2024)
@@ -204,8 +221,28 @@ class TestMaxCycleMean:
             p = rng.choice([0.3, 0.5, 0.8])
             a = rand_matrix(rng, n, neg_inf_p=p)
             want = brute_max_cycle_mean(a)
-            got = max_cycle_mean(a)
+            got = mean_of(a)
             if want is NEG_INF:
                 assert got is NEG_INF
             else:
                 assert got == want, (a, got, want)
+
+
+class TestDeepGraphs:
+    """Graphs deeper than the default recursion limit."""
+
+    N = 1200
+
+    def test_one_long_cycle(self):
+        d = Digraph(self.N, {(i, (i + 1) % self.N): 1 for i in range(self.N)})
+        assert max_cycle_mean(d) == 1
+        got = nonneg_elementary_cycles(d)
+        assert [(c.nodes, c.weight) for c in got] == [(tuple(range(self.N)), self.N)]
+
+    def test_long_chain_into_loop(self):
+        arcs = {(i, i + 1): 0 for i in range(self.N - 1)}
+        arcs[(self.N - 1, self.N - 1)] = 2
+        d = Digraph(self.N, arcs)
+        assert max_cycle_mean(d) == 2
+        got = nonneg_elementary_cycles(d)
+        assert [(c.nodes, c.weight) for c in got] == [((self.N - 1,), 2)]
