@@ -134,12 +134,13 @@ def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
     if method == "wang2020":
         structure = cycle_structure(d, cap)
         gens = cycle_path_generators(a, structure=structure)
-        basis = extremal_filter(gens)
+        scaled = gens.scaled_set()
+        basis = extremal_filter(scaled)
         stats = SearchStats(
             cycles=len(structure.cycles),
             paths=sum(map(len, structure.paths)),
             candidates=len(gens.vectors),
-            duplicates=len(gens.vectors) - len(gens.scaled_set()),
+            duplicates=len(gens.vectors) - len(scaled),
         )
     else:
         gens = double_description(TwoSidedSystem.supereigen(a), cap)

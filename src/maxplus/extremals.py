@@ -16,10 +16,11 @@ vectors.  The search walks the matrix digraph:
   maximal feeder path and returns the deduplicated canonical basis.
 
 Extremality of each candidate is decided by an oracle predicate on scaled
-vectors; the default is the span test against the closed-form generating
-set (see :class:`maxplus.reference.SpanOracle`).  Passing a predicate that
-always answers True turns the search into a plain generator enumeration,
-useful for comparing against the reference constructions.
+vectors; the default, :class:`TangentOracle`, decides it locally from A
+and the vector alone, so the search never builds the closed-form
+generating set.  Passing a predicate that always answers True turns the
+search into a plain generator enumeration, useful for comparing against
+the reference constructions.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .digraph import (
 )
 # Unused here; kept so perfbench/tracer.py can patch them in this module.
 from .digraph import feeder_paths, nonneg_elementary_cycles  # noqa: F401
-from .reference import SpanOracle, cycle_structure
+from .reference import cycle_structure
 from .semiring import NEG_INF, ExtReal, MpMatrix, MpVector, ScaledBasis, unit
 
 Oracle = Callable[[MpVector], bool]
@@ -59,6 +60,106 @@ def in_supereig(a: MpMatrix, x: MpVector) -> bool:
     return x.is_proper and all(
         a.row_apply(i, x) >= x[i] for i in range(len(a))
     )
+
+
+class TangentOracle:
+    """Local extremality test for the scaled solutions of A (x) >= x.
+
+    The minimality criterion of Butkovic, Schneider & Sergeev (LAA 421,
+    2007) as the tangent hypergraph of Allamigeon, Gaubert & Goubault (DCG
+    49, 2013): each tight row k in supp(x), with T_k the columns attaining
+    max_j a_kj + x_j = x_k, gives the hyperedge T_k -> k unless k is in
+    T_k.  Lowering the coordinates in X by a small amount keeps x a
+    solution exactly when X is closed (T_k inside X forces k into X), so x
+    is extremal exactly when some node lies in the closure of every {j},
+    j in supp(x).  Closures grow from a worklist with one counter per edge
+    for its tails still missing.  An edge {u} -> k puts the closure of k
+    inside that of u, so closures start only where a forward walk over such
+    edges stops, and cover every node that reaches the start along them.
+    Callers guarantee v solves A (x) >= x and is scaled; verdicts are
+    memoized.
+    """
+
+    __slots__ = ("_rows", "_cache")
+
+    def __init__(self, a: MpMatrix):
+        self._rows = [
+            [(j, w) for j, w in enumerate(row) if w is not NEG_INF] for row in a
+        ]
+        self._cache: dict[MpVector, bool] = {}
+
+    def __call__(self, v: MpVector) -> bool:
+        hit = self._cache.get(v)
+        if hit is None:
+            hit = self._cache[v] = self._extremal(v)
+        return hit
+
+    def _extremal(self, x: MpVector) -> bool:
+        supp = [k for k, e in enumerate(x) if e is not NEG_INF]
+        single: dict[int, list[int]] = {}  # u -> k of each edge {u} -> k
+        back: dict[int, list[int]] = {}  # k -> u of each edge {u} -> k
+        multi: dict[int, list[int]] = {}  # u -> the edges with u in their tail
+        heads: list[int] = []
+        sizes: list[int] = []
+        for k in supp:
+            best, tails = NEG_INF, []
+            for j, w in self._rows[k]:
+                if x[j] is NEG_INF:
+                    continue
+                s = w + x[j]
+                if best is NEG_INF or s > best:
+                    best, tails = s, [j]
+                elif s == best:
+                    tails.append(j)
+            if best != x[k] or k in tails:
+                continue
+            if len(tails) == 1:
+                single.setdefault(tails[0], []).append(k)
+                back.setdefault(k, []).append(tails[0])
+            else:
+                for u in tails:
+                    multi.setdefault(u, []).append(len(heads))
+                heads.append(k)
+                sizes.append(len(tails))
+        common: set[int] | None = None
+        covered: set[int] = set()
+        for j in supp:
+            if j in covered:
+                continue
+            walk, r = {j}, j
+            while True:
+                nxt = next((k for k in single.get(r, ()) if k not in walk), None)
+                if nxt is None or nxt in covered:
+                    break
+                walk.add(nxt)
+                r = nxt
+            if nxt is not None:
+                covered |= walk
+                continue
+            need = sizes.copy()
+            closure, todo = {r}, [r]
+            while todo:
+                u = todo.pop()
+                for k in single.get(u, ()):
+                    if k not in closure:
+                        closure.add(k)
+                        todo.append(k)
+                for e in multi.get(u, ()):
+                    need[e] -= 1
+                    if not need[e] and heads[e] not in closure:
+                        closure.add(heads[e])
+                        todo.append(heads[e])
+            common = closure if common is None else common & closure
+            if not common:
+                return False
+            covered.add(r)
+            todo = [r]
+            while todo:
+                for u in back.get(todo.pop(), ()):
+                    if u not in covered:
+                        covered.add(u)
+                        todo.append(u)
+        return True
 
 
 @dataclass(frozen=True)
@@ -218,9 +319,9 @@ def extremal_basis(
     redundant).
 
     The cycles and feeder paths are enumerated once, by
-    :func:`maxplus.reference.cycle_structure` on the digraph Karp reads,
-    and the default oracle is built from that same enumeration.  Cycles
-    are searched one after another, in cycle order.
+    :func:`maxplus.reference.cycle_structure` on the digraph Karp reads.
+    The default oracle is a :class:`TangentOracle`, which reads only A and
+    the candidate.  Cycles are searched one after another, in cycle order.
     """
     d = Digraph.from_matrix(a)
     lam = max_cycle_mean(d)
@@ -229,7 +330,7 @@ def extremal_basis(
         return BasisResult(ScaledBasis(()), lam, False, SearchStats(0, 0, 0, 0))
     structure = cycle_structure(d, max_cycles)
     if oracle is None:
-        oracle = SpanOracle(a, structure=structure)
+        oracle = TangentOracle(a)
     pool: list[MpVector] = []
     for cycle, paths in zip(structure.cycles, structure.paths):
         crun = cycle_terminals(a, cycle, oracle)
@@ -260,11 +361,11 @@ def generator_enumeration(
 def is_extremal(a: MpMatrix, x: MpVector) -> bool:
     """Whether x is a scaled-extremal direction of the solution set.
 
-    True exactly when x is a proper solution whose scaled form is not a
-    combination of the other scaled closed-form generators.  Builds a
-    fresh oracle per call; use :class:`maxplus.reference.SpanOracle`
-    directly when testing many vectors against one matrix.
+    True exactly when x is a proper solution that is not a max-plus
+    combination of solutions other than its own multiples, decided locally
+    by :class:`TangentOracle`.  Builds a fresh oracle per call; use one
+    oracle directly when testing many vectors against one matrix.
     """
     if not in_supereig(a, x):
         return False
-    return SpanOracle(a)(x.scaled())
+    return TangentOracle(a)(x.scaled())

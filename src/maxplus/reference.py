@@ -1,8 +1,7 @@
 """Independent reference constructions for supereigenvector spaces.
 
 Two self-contained ways to produce a generating set of the solution space
-of A (x) >= x, used to cross-check the extremal search and to decide
-extremality:
+of A (x) >= x, used to cross-check the extremal search:
 
 * :func:`cycle_path_generators` walks every nonnegative elementary cycle
   and every maximal feeder path and writes down explicit generators in
@@ -15,6 +14,8 @@ extremality:
 Both return generating sets that usually contain redundant vectors;
 :func:`extremal_filter` reduces any generating set to the scaled extremals,
 which form the unique scaled basis of the generated subsemimodule.
+``check`` decides extremality with :class:`SpanOracle`, a span test
+against the closed-form set that shares nothing with the search's criterion.
 """
 
 from __future__ import annotations
@@ -288,23 +289,14 @@ class SpanOracle:
     of the other scaled generators; extremals belong to every scaled
     generating set, so testing against this particular one is conclusive.
     Callers guarantee v solves A (x) >= x and is scaled.  The generators
-    sit in a :class:`SpanIndex` built once and never changed.  Pass the
-    matrix's :func:`cycle_structure` when the caller has already
-    enumerated it, so the cycles and paths are walked only once.
-    Verdicts are memoized; the search revisits the same scaled vectors
-    often.
+    sit in a :class:`SpanIndex` built once and never changed.  Verdicts
+    are memoized.
     """
 
     __slots__ = ("_gens", "_cache")
 
-    def __init__(
-        self,
-        a: MpMatrix,
-        *,
-        structure: CycleStructure | None = None,
-        max_cycles: int | None = DEFAULT_MAX_CYCLES,
-    ):
-        gens = cycle_path_generators(a, structure=structure, max_cycles=max_cycles)
+    def __init__(self, a: MpMatrix, *, max_cycles: int | None = DEFAULT_MAX_CYCLES):
+        gens = cycle_path_generators(a, max_cycles=max_cycles)
         self._gens = SpanIndex(gens.scaled_set())
         self._cache: dict[MpVector, bool] = {}
 

@@ -6,13 +6,17 @@ import pytest
 
 from maxplus import (
     Cycle,
+    CycleLimitError,
     Digraph,
     FeederPath,
     MpMatrix,
     SpanOracle,
+    TangentOracle,
     always_extremal,
+    cycle_path_generators,
     cycle_terminals,
     extremal_basis,
+    extremal_filter,
     generator_enumeration,
     in_span,
     in_supereig,
@@ -24,11 +28,16 @@ from maxplus import (
     unit,
     vector,
 )
+from maxplus import cli, reference
 from support import (
+    EXAMPLE_BASIS_TEXT,
+    EXAMPLE_TEXT,
     NI,
+    chain_into_loop,
     combine_row,
     example_basis_vectors,
     example_matrix,
+    fractional_matrix,
     mk,
     rand_matrix,
     rand_vector,
@@ -338,3 +347,92 @@ class TestIsExtremal:
     def test_identity(self):
         assert is_extremal(MpMatrix.identity(2), unit(2, 0))
         assert not is_extremal(MpMatrix.identity(2), vector([0, 0]))
+
+
+class TestTangentOracle:
+    # (matrix, vector, extremal): each row is named for the rule it pins.
+    CASES = {
+        # row 2 is tight with argmax {0, 1}: the edge {0, 1} -> 2 joins the
+        # closure of {0, 1} (rows 0 and 1 imply each other) to node 2
+        "two-node tail": (mk([[NI, 0, NI], [0, NI, NI], [0, 0, NI]]), (0, 0, 0), True),
+        # a tight row attained at its own zero diagonal gives no edge
+        "zero diagonal": (mk([[0, 0], [NI, 0]]), (0, 0), False),
+        "zero diagonal, unit": (mk([[0, 0], [NI, 0]]), (0, NI), True),
+        # both rows slack: lowering either coordinate alone stays a solution
+        "slack rows": (mk([[NI, 2], [0, NI]]), (0, -1), False),
+        "tight rows": (mk([[NI, 2], [0, NI]]), (0, -2), True),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_hand_built(self, name):
+        a, entries, want = self.CASES[name]
+        v = vector(entries)
+        assert in_supereig(a, v)
+        assert TangentOracle(a)(v) is want
+        assert SpanOracle(a)(v) is want
+
+    def test_worked_example_joins(self):
+        a = example_matrix()
+        oracle = TangentOracle(a)
+        members = example_basis_vectors()
+        assert all(oracle(b) for b in members)
+        for x in members:
+            for y in members:
+                j = x.join(y).scaled()
+                if j != x and j != y:
+                    assert not oracle(j)
+
+    @pytest.mark.parametrize("kind", ["int", "fractional"])
+    def test_matches_span_oracle(self, kind):
+        # every vector the search asks about, and max-combinations of basis
+        # vectors, most of which are not extremal
+        rng = random.Random(8080)
+        asked = extremal = 0
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            if kind == "int":
+                a = rand_matrix(rng, n, rng.choice((0.4, 0.6)))
+            else:
+                a = fractional_matrix(rng, n)
+            try:
+                span = SpanOracle(a, max_cycles=2000)
+            except CycleLimitError:
+                continue
+            probes = set()
+
+            def recorded(v):
+                probes.add(v)
+                return span(v)
+
+            basis = list(extremal_basis(a, oracle=recorded).basis)
+            for _ in range(20 if basis else 0):
+                z = rng.choice(basis)
+                for w in rng.sample(basis, min(len(basis), rng.randint(1, 3))):
+                    z = z.join(w.scale(rng.randint(-2, 2)))
+                probes.add(z.scaled())
+            tangent = TangentOracle(a)
+            for v in probes:
+                assert tangent(v) == span(v), (a, v)
+                asked += 1
+                extremal += span(v)
+        assert asked > 300
+        assert extremal < asked / 2
+
+    def test_long_chain_matches_closed_form(self):
+        a = chain_into_loop(400)
+        basis = extremal_basis(a).basis
+        assert len(basis) == 400
+        assert basis == extremal_filter(cycle_path_generators(a))
+
+
+def test_extremal_route_never_builds_the_closed_form(monkeypatch, tmp_path, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("the extremal route used the closed form")
+
+    monkeypatch.setattr(reference, "cycle_path_generators", boom)
+    monkeypatch.setattr(reference, "SpanOracle", boom)
+    f = tmp_path / "a.txt"
+    f.write_text(EXAMPLE_TEXT)
+    assert cli.main(["basis", str(f), "--method", "extremal"]) == 0
+    assert capsys.readouterr().out.splitlines() == EXAMPLE_BASIS_TEXT
+    assert is_extremal(example_matrix(), v5(1, 0, NI, 2, 3))

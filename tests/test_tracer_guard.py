@@ -2,21 +2,31 @@
 
 ``perfbench/tracer.py`` looks each patched name up in a module's
 ``__dict__``, so a refactor that drops one breaks ``--trace 1``.  This
-catches it in the fast suite.
+catches it in the fast suite, together with the traced contract the
+benchmark's own tests rely on: ``check`` builds a ``SpanOracle`` and the
+``extremal`` route does not.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from maxplus import cli, reference
+from support import EXAMPLE_TEXT
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_install_patches_and_restore_puts_back():
+@pytest.fixture(scope="module")
+def tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_patches_and_restore_puts_back(tracer):
     originals = (cli.extremal_basis, reference.in_span)
     restore = tracer.Tracer().install()
     try:
@@ -25,3 +35,24 @@ def test_install_patches_and_restore_puts_back():
     finally:
         restore()
     assert (cli.extremal_basis, reference.in_span) == originals
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["check", "--vector", "1 0 -inf 2 3"], 1),
+        (["basis", "--method", "extremal"], 0),
+    ],
+    ids=["check", "basis-extremal"],
+)
+def test_span_oracle_builds(tracer, tmp_path, capsys, argv, builds):
+    f = tmp_path / "a.txt"
+    f.write_text(EXAMPLE_TEXT)
+    t = tracer.Tracer()
+    restore = t.install()
+    try:
+        assert cli.main([argv[0], str(f), *argv[1:]]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    assert t.totals()["reference.SpanOracle.build.calls"] == builds
