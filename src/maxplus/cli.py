@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> MpMatrix:
-    return parse_matrix(Path(path).read_text(encoding="utf-8")).matrix
+    return parse_matrix(Path(path).read_text(encoding="utf-8-sig")).matrix
 
 
 def _effective(args) -> MpMatrix:

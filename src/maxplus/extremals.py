@@ -15,6 +15,10 @@ vectors.  The search walks the matrix digraph:
 * :func:`extremal_basis` runs both over every nonnegative cycle and every
   maximal feeder path and returns the deduplicated canonical basis.
 
+The first two grow a candidate by the double description step,
+:func:`maxplus.semiring.boundary_point`, the one ``dd`` uses: each step
+lands the vector on the boundary of one row, already scaled.
+
 Extremality of each candidate is decided by an oracle predicate on scaled
 vectors; the default, :class:`TangentOracle`, decides it locally from A
 and the vector alone, so the search never builds the closed-form
@@ -39,10 +43,11 @@ from .digraph import (
 # Unused here; kept so perfbench/tracer.py can patch them in this module.
 from .digraph import feeder_paths, nonneg_elementary_cycles  # noqa: F401
 from .reference import cycle_structure
-from .semiring import NEG_INF, ExtReal, MpMatrix, MpVector, ScaledBasis, unit
+from .semiring import (
+    NEG_INF, ExtReal, MpMatrix, MpVector, ScaledBasis, boundary_point, unit
+)
 
 Oracle = Callable[[MpVector], bool]
-StepHook = Callable[[MpVector, bool], None]
 
 
 def always_extremal(v: MpVector) -> bool:
@@ -168,35 +173,18 @@ class RotationRun:
 
     ``steps`` counts grow steps actually taken (0 to t-1); the run stops
     early as soon as the current vector satisfies its current row.
-    ``terminal`` is the grown vector as built, ``scaled`` its scaled form,
-    and ``extremal`` the oracle's verdict on the scaled form.
+    ``scaled`` is the grown vector, scaled, and ``extremal`` the oracle's
+    verdict on it.
     """
 
-    start: int
     steps: int
-    terminal: MpVector
     scaled: MpVector
     extremal: bool
 
 
-@dataclass(frozen=True)
-class CycleRun:
-    """All rotation runs of one cycle, in rotation order."""
-
-    cycle: Cycle
-    runs: tuple[RotationRun, ...]
-
-    def extremals(self) -> list[MpVector]:
-        return [r.scaled for r in self.runs if r.extremal]
-
-    def run_for(self, start: int) -> RotationRun:
-        for r in self.runs:
-            if r.start == start:
-                return r
-        raise KeyError(start)
-
-
-def cycle_terminals(a: MpMatrix, cycle: Cycle, oracle: Oracle) -> CycleRun:
+def cycle_terminals(
+    a: MpMatrix, cycle: Cycle, oracle: Oracle
+) -> dict[int, RotationRun]:
     """Grow a solution along every rotation of a nonnegative cycle.
 
     For rotation (j_1, ..., j_t) the candidate starts as the unit vector
@@ -205,41 +193,36 @@ def cycle_terminals(a: MpMatrix, cycle: Cycle, oracle: Oracle) -> CycleRun:
 
         v <- e(j_{p+1})  join  (a[j_p][j_{p+1}]) (v)
 
-    The loop always ends in a solution: either a row check succeeded
-    early, or all t-1 steps ran and the cycle's nonnegative weight closes
-    the final row.
+    which is the boundary point of row j_p with e(j_{p+1}) the satisfier
+    and v the violator.  The loop always ends in a solution: either a row
+    check succeeded early, or all t-1 steps ran and the cycle's
+    nonnegative weight closes the final row.  Returns the run of each
+    rotation by its start node, in rotation order.
     """
     if cycle.weight < 0:
         raise ValueError("cycle must have nonnegative weight")
     n = len(a)
-    runs = []
+    runs: dict[int, RotationRun] = {}
     for rot in rotations(cycle):
         nodes = rot.nodes
         t = len(nodes)
         v = unit(n, nodes[0])
         steps = 0
         while steps <= t - 2 and not row_satisfied(a, nodes[steps], v):
-            w = a.entry(nodes[steps], nodes[steps + 1])
+            node, nxt = nodes[steps], nodes[steps + 1]
+            w = a.entry(node, nxt)
             if w is NEG_INF:
                 raise ValueError(
-                    f"cycle arc {nodes[steps]} -> {nodes[steps + 1]} "
-                    "is not an arc of the matrix"
+                    f"cycle arc {node} -> {nxt} is not an arc of the matrix"
                 )
-            v = unit(n, nodes[steps + 1]).join(v.scale(w))
+            v = boundary_point(unit(n, nxt), v[node], v, w)
             steps += 1
-        scaled = v.scaled()
-        runs.append(
-            RotationRun(nodes[0], steps, v, scaled, oracle(scaled))
-        )
-    return CycleRun(cycle, tuple(runs))
+        runs[nodes[0]] = RotationRun(steps, v, oracle(v))
+    return runs
 
 
 def path_extremals(
-    a: MpMatrix,
-    path: FeederPath,
-    terminal: MpVector,
-    oracle: Oracle,
-    on_step: StepHook | None = None,
+    a: MpMatrix, path: FeederPath, terminal: MpVector, oracle: Oracle
 ) -> list[MpVector]:
     """Extend an extremal cycle candidate backward along a feeder path.
 
@@ -248,11 +231,11 @@ def path_extremals(
 
         v <- v  join  (A_l (v)) (e(l))
 
-    Stops without emitting when the node's own unit vector is already a
-    solution of its row (a self-loop of nonnegative weight), and stops
-    after the first non-extremal step; later steps of this path cannot be
-    extremal either.  Emits scaled vectors in step order and reports every
-    step's verdict to ``on_step`` when given.
+    which is the boundary point of row l with v the satisfier and e(l) the
+    violator.  Stops without emitting when the node's own unit vector is
+    already a solution of its row (a self-loop of nonnegative weight), and
+    stops after the first non-extremal step; later steps of this path
+    cannot be extremal either.  Emits scaled vectors in step order.
 
     ``terminal`` is the grown vector of the rotation anchored at the
     path's endnode; any scalar multiple gives the same emissions.
@@ -267,14 +250,10 @@ def path_extremals(
         node = nodes[q]
         if a.entry(node, node) >= 0:
             break
-        v = v.join(unit(n, node).scale(a.row_apply(node, v)))
-        scaled = v.scaled()
-        ok = oracle(scaled)
-        if on_step is not None:
-            on_step(scaled, ok)
-        if not ok:
+        v = boundary_point(v, 0, unit(n, node), a.row_apply(node, v))
+        if not oracle(v):
             break
-        out.append(scaled)
+        out.append(v)
     return out
 
 
@@ -333,10 +312,10 @@ def extremal_basis(
         oracle = TangentOracle(a)
     pool: list[MpVector] = []
     for cycle, paths in zip(structure.cycles, structure.paths):
-        crun = cycle_terminals(a, cycle, oracle)
-        pool.extend(crun.extremals())
+        runs = cycle_terminals(a, cycle, oracle)
+        pool.extend(r.scaled for r in runs.values() if r.extremal)
         for path in paths:
-            run = crun.run_for(path.end)
+            run = runs[path.end]
             if run.extremal:
                 pool.extend(path_extremals(a, path, run.scaled, oracle))
     basis = ScaledBasis(pool)

@@ -9,7 +9,9 @@ of A (x) >= x, used to cross-check the extremal search:
 
 * :func:`double_description` incrementally intersects half-spaces of a
   general two-sided system lower (x) <= upper (x), starting from the unit
-  vectors and combining satisfier/violator pairs row by row.
+  vectors and combining satisfier/violator pairs row by row with
+  :func:`maxplus.semiring.boundary_point`, the step the search grows its
+  candidates with.
 
 Both return generating sets that usually contain redundant vectors;
 :func:`extremal_filter` reduces any generating set to the scaled extremals,
@@ -39,6 +41,7 @@ from .semiring import (
     MpVector,
     ScaledBasis,
     SpanIndex,
+    boundary_point,
     in_span,
     mp_dot,
     unit,
@@ -193,10 +196,10 @@ def double_description(
 
     Maintains generators of the cone cut out by the rows seen so far,
     beginning with the unit vectors (no rows).  For each row, satisfiers
-    survive as they are; each satisfier/violator pair contributes the
-    combination  (lower_k (w)) (v)  join  (upper_k (v)) (w),  which lands
-    exactly on the row's boundary of feasibility.  Generators are kept in
-    scaled deduplicated form after every row.
+    survive as they are; each satisfier/violator pair contributes its
+    :func:`boundary_point`  (lower_k (w)) (v)  join  (upper_k (v)) (w),
+    which lands exactly on the row's boundary of feasibility.  Generators
+    are kept in scaled deduplicated form after every row.
 
     ``max_pairs`` caps the satisfier/violator pairs summed over the rows;
     a row that would pass it raises CycleLimitError before any of its
@@ -225,39 +228,11 @@ def double_description(
         new = {v for v, _ in sat}
         for v, up_v in sat:
             for w, lo_w in vio:
-                z = _boundary_point(v, lo_w, w, up_v)
+                z = boundary_point(v, lo_w, w, up_v)
                 if z is not None:
                     new.add(z)
         current = sorted(new)
     return GeneratorSet(d, tuple(current))
-
-
-def _boundary_point(
-    v: MpVector, lo_w: ExtReal, w: MpVector, up_v: ExtReal
-) -> MpVector | None:
-    """``(v.scale(lo_w).join(w.scale(up_v))).scaled()`` in one pass.
-
-    ``lo_w`` is finite (w violates the row).  None when the combination is
-    the all -inf vector.  Ties keep the v side, as ``join`` does.
-    """
-    if up_v is NEG_INF:
-        z = [a if a is NEG_INF else lo_w + a for a in v]
-    else:
-        z = [
-            (b if b is NEG_INF else up_v + b)
-            if a is NEG_INF
-            else lo_w + a
-            if b is NEG_INF
-            else (x if (x := lo_w + a) >= (y := up_v + b) else y)
-            for a, b in zip(v, w)
-        ]
-    finite = [e for e in z if e is not NEG_INF]
-    if not finite:
-        return None
-    m = max(finite)
-    if m == 0:
-        return MpVector(z)
-    return MpVector([e if e is NEG_INF else e - m for e in z])
 
 
 def extremal_filter(gens: GeneratorSet | Iterable[MpVector]) -> ScaledBasis:

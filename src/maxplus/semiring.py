@@ -8,10 +8,11 @@ semiring operations directly, which keeps general code free of wrapper
 overhead.
 
 The hot vector operations (``MpVector.join``, ``scale``, ``normalized``,
-``mp_dot``, ``MpMatrix.apply`` and ``row_apply``) never hand ``NEG_INF``
-to an operator: they test each entry with ``is NEG_INF`` and apply ``max``,
-``+`` and ``-`` to finite entries only, which are then plain ``int`` and
-``Fraction`` arithmetic.  The results are the values and types the plain
+``mp_dot``, ``MpMatrix.apply``, ``row_apply`` and :func:`boundary_point`,
+the double description step) never hand ``NEG_INF`` to an operator: they
+test each entry with ``is NEG_INF`` and apply ``max``, ``+`` and ``-`` to
+finite entries only, which are then plain ``int`` and ``Fraction``
+arithmetic.  The results are the values and types the plain
 operators give: a tie keeps the left (first) entry, as ``max`` does, and
 int/Fraction mixes follow Python's own rules.
 
@@ -257,6 +258,41 @@ class MpMatrix(tuple):
         if c is NEG_INF:
             raise ValueError("shift amount must be finite")
         return MpMatrix(row.scale(c) for row in self)
+
+
+def boundary_point(
+    v: MpVector, lo_w: ExtReal, w: MpVector, up_v: ExtReal
+) -> MpVector | None:
+    """``(v.scale(lo_w).join(w.scale(up_v))).scaled()`` in one pass.
+
+    The double description step for a row lower (x) <= upper (x): v
+    satisfies the row, with ``up_v`` = upper (v); w violates it, with
+    ``lo_w`` = lower (w) finite.  The combination lands on the row's
+    boundary.  None when it is the all -inf vector.  Ties keep the v side,
+    as ``join`` does.
+    """
+    if len(v) != len(w):
+        raise DimensionError(
+            f"boundary point of vectors of dimension {len(v)} and {len(w)}"
+        )
+    if up_v is NEG_INF:
+        z = [a if a is NEG_INF else lo_w + a for a in v]
+    else:
+        z = [
+            (b if b is NEG_INF else up_v + b)
+            if a is NEG_INF
+            else lo_w + a
+            if b is NEG_INF
+            else (x if (x := lo_w + a) >= (y := up_v + b) else y)
+            for a, b in zip(v, w)
+        ]
+    finite = [e for e in z if e is not NEG_INF]
+    if not finite:
+        return None
+    m = max(finite)
+    if m == 0:
+        return MpVector(z)
+    return MpVector([e if e is NEG_INF else e - m for e in z])
 
 
 def residual(v: MpVector, w: MpVector) -> ExtReal:

@@ -25,6 +25,9 @@ from maxplus import (
     parse_matrix,
     parse_vector,
     residual,
+    rotations,
+    row_satisfied,
+    unit,
 )
 
 EXAMPLE_TEXT = """\
@@ -385,3 +388,57 @@ def brute_double_description(rows) -> tuple[tuple[MpVector, ...], int]:
                     new.append(z)
         current = sorted({brute_normalized(z)[1] for z in new})
     return tuple(current), pairs
+
+
+def recording(oracle, steps: list):
+    """Wrap an oracle so every (vector, verdict) it gives lands in steps."""
+
+    def record(v: MpVector) -> bool:
+        ok = oracle(v)
+        steps.append((v, ok))
+        return ok
+
+    return record
+
+
+# The search's two growth loops as first written: a join/scale chain per
+# step, then a separate scaling pass.  The double description step the
+# search now uses must give the same vectors.
+
+
+def brute_cycle_terminals(a: MpMatrix, cycle, oracle) -> dict:
+    """start node -> (steps, unscaled grown vector, scaled form, verdict)."""
+    n = len(a)
+    runs = {}
+    for rot in rotations(cycle):
+        nodes = rot.nodes
+        t = len(nodes)
+        v = unit(n, nodes[0])
+        steps = 0
+        while steps <= t - 2 and not row_satisfied(a, nodes[steps], v):
+            w = a.entry(nodes[steps], nodes[steps + 1])
+            v = unit(n, nodes[steps + 1]).join(v.scale(w))
+            steps += 1
+        scaled = v.scaled()
+        runs[nodes[0]] = (steps, v, scaled, oracle(scaled))
+    return runs
+
+
+def brute_path_extremals(a: MpMatrix, path, terminal: MpVector, oracle) -> tuple:
+    """(emitted vectors, every (vector, verdict) step) along one feeder path."""
+    nodes = path.nodes
+    n = len(a)
+    v = terminal
+    out, trace = [], []
+    for q in range(len(nodes) - 2, -1, -1):
+        node = nodes[q]
+        if a.entry(node, node) >= 0:
+            break
+        v = v.join(unit(n, node).scale(a.row_apply(node, v)))
+        scaled = v.scaled()
+        ok = oracle(scaled)
+        trace.append((scaled, ok))
+        if not ok:
+            break
+        out.append(scaled)
+    return out, trace

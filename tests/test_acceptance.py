@@ -49,6 +49,7 @@ from support import (
     example_matrix,
     rand_matrix,
     rand_vector,
+    recording,
 )
 
 
@@ -120,15 +121,12 @@ def test_c3_walkthrough_traces():
     d = Digraph.from_matrix(a)
     loop = Cycle((1,), 1)
     oracle = SpanOracle(a)
-    terminal = cycle_terminals(a, loop, oracle).run_for(1).terminal
+    terminal = cycle_terminals(a, loop, oracle)[1].scaled
 
     def trace_for(nodes):
         path = next(p for p in feeder_paths(d, loop, None) if p.nodes == nodes)
         steps = []
-        path_extremals(
-            a, path, terminal, oracle,
-            on_step=lambda v, ok: steps.append((v, ok)),
-        )
+        path_extremals(a, path, terminal, recording(oracle, steps))
         return steps
 
     ni = NEG_INF
@@ -284,25 +282,25 @@ def test_c6_lemmas():
                 assert row_satisfied(a, j, unit(n, i))
                 checks += 1
 
-    # full-length runs terminate with suffix arc-weight sums along the cycle
+    # full-length runs terminate with suffix arc-weight sums along the cycle,
+    # each measured from the entry at the rotation's last node
     checks = 0
     while checks < 1000:
         a = rand_matrix(rng, rng.randint(2, 6))
         for c in nonneg_elementary_cycles(Digraph.from_matrix(a), None):
             if len(c.nodes) < 2:
                 continue
-            for r in cycle_terminals(a, c, always_extremal).runs:
+            for start, r in cycle_terminals(a, c, always_extremal).items():
                 t = len(c.nodes)
                 if r.steps != t - 1:
                     continue
                 rot = next(
-                    rr.nodes for rr in rotations(c) if rr.nodes[0] == r.start
+                    rr.nodes for rr in rotations(c) if rr.nodes[0] == start
                 )
-                assert r.terminal[rot[-1]] == 0
                 suffix = 0
                 for l in range(t - 2, -1, -1):
                     suffix = a.entry(rot[l], rot[l + 1]) + suffix
-                    assert r.terminal[rot[l]] == suffix
+                    assert r.scaled[rot[l]] - r.scaled[rot[-1]] == suffix
                 checks += 1
 
 

@@ -354,6 +354,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_utf8_bom_file(self, example_file, tmp_path, capsys):
+        f = tmp_path / "bom.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + EXAMPLE_TEXT.encode("utf-8"))
+        assert cli.main(["basis", example_file]) == 0
+        plain = capsys.readouterr().out
+        assert cli.main(["basis", str(f)]) == 0
+        assert capsys.readouterr().out == plain == BASIS_BLOB
+        # a BOM does not make other encodings readable
+        f.write_bytes(b"\xef\xbb\xbf0 1\n\xff 0\n")
+        assert cli.main(["basis", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_negative_cycle_cap(self, example_file, capsys):
         assert cli.main(["cycles", example_file, "--max-cycles", "-5"]) == 2
         assert capsys.readouterr().err.startswith("error: --max-cycles")

@@ -14,9 +14,11 @@ from maxplus import (
     TangentOracle,
     always_extremal,
     cycle_path_generators,
+    cycle_structure,
     cycle_terminals,
     extremal_basis,
     extremal_filter,
+    format_vector,
     generator_enumeration,
     in_span,
     in_supereig,
@@ -33,14 +35,20 @@ from support import (
     EXAMPLE_BASIS_TEXT,
     EXAMPLE_TEXT,
     NI,
+    block_triangular,
+    brute_cycle_terminals,
+    brute_path_extremals,
     chain_into_loop,
     combine_row,
+    complete_matrix,
     example_basis_vectors,
     example_matrix,
     fractional_matrix,
     mk,
     rand_matrix,
     rand_vector,
+    recording,
+    zero_critical_cycle,
 )
 
 
@@ -98,38 +106,36 @@ class TestCycleTerminals:
     def test_loop(self):
         a = example_matrix()
         run = cycle_terminals(a, Cycle((1,), 1), always_extremal)
-        assert len(run.runs) == 1
-        r = run.runs[0]
-        assert r.start == 1 and r.steps == 0
-        assert r.terminal == unit(5, 1)
+        assert list(run) == [1]
+        r = run[1]
+        assert r.steps == 0
         assert r.scaled == unit(5, 1)
 
     def test_two_cycle(self):
         a = example_matrix()
-        run = cycle_terminals(a, Cycle((0, 1), 2), always_extremal)
-        by_start = {r.start: r for r in run.runs}
-        assert by_start[0].terminal == v5(1, 0, NI, NI, NI)
+        by_start = cycle_terminals(a, Cycle((0, 1), 2), always_extremal)
+        assert list(by_start) == [0, 1]  # rotation order
         assert by_start[0].steps == 1
         assert by_start[0].scaled == v5(0, -1, NI, NI, NI)
-        assert by_start[1].terminal == unit(5, 1)  # stopped before growing
+        assert by_start[1].scaled == unit(5, 1)  # stopped before growing
         assert by_start[1].steps == 0
 
     def test_four_cycle(self):
         a = example_matrix()
-        run = cycle_terminals(a, Cycle((0, 1, 2, 3), 5), always_extremal)
-        by_start = {r.start: r for r in run.runs}
-        assert by_start[1].terminal == unit(5, 1)
-        assert by_start[0].terminal == v5(1, 0, NI, NI, NI)
-        assert by_start[3].terminal == v5(1, 0, NI, 2, NI)
-        assert by_start[2].terminal == v5(1, 0, 4, 2, NI)
+        by_start = cycle_terminals(a, Cycle((0, 1, 2, 3), 5), always_extremal)
+        assert by_start[1].scaled == unit(5, 1)
+        assert by_start[0].scaled == v5(0, -1, NI, NI, NI)  # (1, 0, ...)
+        assert by_start[3].scaled == v5(-1, -2, NI, 0, NI)  # (1, 0, -inf, 2)
+        assert by_start[2].scaled == v5(-3, -4, 0, -2, NI)  # (1, 0, 4, 2)
         assert by_start[2].steps == 3  # the full run
-        # every terminal solves the whole system
-        for r in run.runs:
-            assert in_supereig(a, r.terminal)
+        # every grown vector solves the whole system
+        for r in by_start.values():
+            assert in_supereig(a, r.scaled)
 
     def test_full_run_suffix_weights(self):
-        # after a full run the terminal pays the remaining arcs of the cycle:
-        # entry at the l-th rotation node is the arc weight sum from l to the end
+        # after a full run the grown vector pays the remaining arcs of the
+        # cycle: entry at the l-th rotation node, less the entry at the last,
+        # is the arc weight sum from l to the end
         rng = random.Random(7001)
         seen = 0
         while seen < 50:
@@ -139,18 +145,17 @@ class TestCycleTerminals:
                 if len(c.nodes) < 2:
                     continue
                 run = cycle_terminals(a, c, always_extremal)
-                for r in run.runs:
+                for start, r in run.items():
                     t = len(c.nodes)
                     if r.steps != t - 1:
                         continue
                     rot = next(
-                        rr.nodes for rr in rotations(c) if rr.nodes[0] == r.start
+                        rr.nodes for rr in rotations(c) if rr.nodes[0] == start
                     )
-                    assert r.terminal[rot[-1]] == 0
                     suffix = 0
                     for l in range(t - 2, -1, -1):
                         suffix = a.entry(rot[l], rot[l + 1]) + suffix
-                        assert r.terminal[rot[l]] == suffix
+                        assert r.scaled[rot[l]] - r.scaled[rot[-1]] == suffix
                     seen += 1
 
     def test_rejects_negative_cycle(self):
@@ -169,11 +174,7 @@ class TestPathExtremals:
     def trace(self, a, path, terminal, oracle=None):
         steps = []
         out = path_extremals(
-            a,
-            path,
-            terminal,
-            oracle or SpanOracle(a),
-            on_step=lambda v, ok: steps.append((v, ok)),
+            a, path, terminal, recording(oracle or SpanOracle(a), steps)
         )
         return out, steps
 
@@ -244,6 +245,67 @@ class TestPathExtremals:
             path_extremals(
                 example_matrix(), FeederPath((1,)), unit(5, 1), always_extremal
             )
+
+
+def growth_cases():
+    """Random int and fractional matrices, n <= 7, then structured ones."""
+    rng = random.Random(9191)
+    cases = [
+        rand_matrix(rng, n, rng.choice((0.4, 0.6))) if k % 2
+        else fractional_matrix(rng, n)
+        for k, n in enumerate(rng.randint(2, 7) for _ in range(60))
+    ]
+    cases += [chain_into_loop(n) for n in (2, 9)] + [chain_into_loop(7, rng)]
+    cases += [block_triangular(rng, sizes) for sizes in ((3, 3), (2, 3, 2))]
+    cases += [complete_matrix(rng, n) for n in (3, 5)]
+    cases += [
+        zero_critical_cycle(a)
+        for a in (
+            complete_matrix(rng, 4),
+            block_triangular(rng, (3, 2)),
+            fractional_matrix(rng, 5, neg_inf_p=0.3),
+        )
+    ]
+    return cases
+
+
+class TestGrowthMatchesBrute:
+    """Both growth loops against the join/scale chains they replaced."""
+
+    @pytest.mark.parametrize("kind", ["always", "tangent"])
+    def test_same_runs_and_emissions(self, kind):
+        runs = steps = 0
+        for a in growth_cases():
+            try:
+                structure = cycle_structure(Digraph.from_matrix(a), 2000)
+            except CycleLimitError:
+                continue
+            oracle = always_extremal if kind == "always" else TangentOracle(a)
+            for cycle, paths in zip(structure.cycles, structure.paths):
+                got = cycle_terminals(a, cycle, oracle)
+                want = brute_cycle_terminals(a, cycle, oracle)
+                assert list(got) == list(want)
+                for start, (n_steps, _, scaled, ok) in want.items():
+                    r = got[start]
+                    assert (r.steps, r.scaled, r.extremal) == (n_steps, scaled, ok)
+                    assert format_vector(r.scaled) == format_vector(scaled)
+                    runs += 1
+                for path in paths:
+                    trace = []
+                    out = path_extremals(
+                        a, path, got[path.end].scaled, recording(oracle, trace)
+                    )
+                    # the brute loop starts from the unscaled grown vector
+                    want_out, want_trace = brute_path_extremals(
+                        a, path, want[path.end][1], oracle
+                    )
+                    assert out == want_out
+                    assert trace == want_trace
+                    assert list(map(format_vector, out)) == list(
+                        map(format_vector, want_out)
+                    )
+                    steps += len(trace)
+        assert runs > 2000 and steps > 5000
 
 
 class TestExtremalBasis:

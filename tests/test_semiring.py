@@ -15,6 +15,7 @@ from maxplus import (
     ScaledBasis,
     SpanIndex,
     bottom,
+    boundary_point,
     format_scalar,
     format_vector,
     in_span,
@@ -255,6 +256,50 @@ class TestKernelMatchesBrute:
         assert same(vector([1, 2, 3]).scale(NEG_INF), bottom(3))
         assert mp_dot(bot, vector([0, 1, 2])) is NEG_INF
         assert MpMatrix.identity(3).apply(bot) == bot
+
+
+def unit_or_tied(n: int):
+    """A unit vector (the search's satisfier or violator) or any vector."""
+    return st.one_of(st.integers(0, n - 1).map(lambda i: unit(n, i)), tied_vectors(n))
+
+
+class TestBoundaryPoint:
+    """The double description step against the join/scale/scale composition."""
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                unit_or_tied(n),
+                tied.filter(lambda c: c is not NEG_INF),
+                unit_or_tied(n),
+                tied,
+            )
+        )
+    )
+    def test_matches_brute(self, case):
+        v, lo_w, w, up_v = case
+        z = brute_join(brute_scale(v, lo_w), brute_scale(w, up_v))
+        got = boundary_point(v, lo_w, w, up_v)
+        if z.is_proper:
+            assert same(got, brute_normalized(z)[1])
+        else:
+            assert got is None
+
+    def test_tie_keeps_the_v_side(self):
+        v, w = vector([1, 2]), vector([Fraction(1), NEG_INF])
+        got = boundary_point(v, 0, w, 0)
+        assert same(got, vector([-1, 0]))
+        assert same(got, brute_normalized(brute_join(v, w))[1])
+
+    def test_all_neg_inf_is_none(self):
+        assert boundary_point(bottom(3), 1, bottom(3), 0) is None
+        assert boundary_point(bottom(2), 1, unit(2, 0), NEG_INF) is None
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            boundary_point(unit(3, 0), 0, unit(2, 0), 0)
+        with pytest.raises(DimensionError):
+            boundary_point(unit(2, 0), 0, unit(3, 0), NEG_INF)
 
 
 class TestMatVec:

@@ -4,7 +4,8 @@
 ``__dict__``, so a refactor that drops one breaks ``--trace 1``.  This
 catches it in the fast suite, together with the traced contract the
 benchmark's own tests rely on: ``check`` builds a ``SpanOracle`` and the
-``extremal`` route does not.
+``extremal`` route does not, and the ``extremal`` route reaches both of its
+growth steps through the names the tracer patches.
 """
 
 import importlib.util
@@ -56,3 +57,22 @@ def test_span_oracle_builds(tracer, tmp_path, capsys, argv, builds):
         restore()
     capsys.readouterr()
     assert t.totals()["reference.SpanOracle.build.calls"] == builds
+
+
+def test_search_runs_through_both_growth_steps(tracer, tmp_path, capsys):
+    # The tracer times cycle_terminals and path_extremals as the module
+    # globals extremal_basis calls; inlining either step hides its time.
+    f = tmp_path / "a.txt"
+    f.write_text(EXAMPLE_TEXT)
+    t = tracer.Tracer()
+    restore = t.install()
+    try:
+        assert cli.main(["basis", str(f), "--method", "extremal"]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    totals = t.totals()
+    assert totals["extremals.cycle_terminals.calls"] > 0
+    assert totals["extremals.path_extremals.calls"] > 0
+    assert totals["extremals.candidates"] == 43
+    assert totals["extremals.duplicates"] == 33
