@@ -23,6 +23,7 @@ against the closed-form set that shares nothing with the search's criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .digraph import (
@@ -148,19 +149,20 @@ def _path_generators(
 
     Starts from the cycle generator whose credited arc enters the path's
     endnode, then raises one path node at a time to the accumulated arc
-    weight into the cycle.
+    weight into the cycle.  Each raised entry was -inf: the cycle
+    generator is finite on the cycle's nodes only, and a feeder path is
+    elementary and meets the cycle only at its endnode.  So raising it
+    (a join with a scaled unit vector) is writing it.
     """
     nodes = cycle.nodes
-    t = len(nodes)
-    n = len(a)
     end = path_nodes[-1]
-    x = cycle_gens[(nodes.index(end) - 1) % t]
-    c = x[end]
+    entries = list(cycle_gens[(nodes.index(end) - 1) % len(nodes)])
+    c = entries[end]
     out = []
     for p in range(len(path_nodes) - 2, -1, -1):
         c = c + a.entry(path_nodes[p], path_nodes[p + 1])
-        x = x.join(unit(n, path_nodes[p]).scale(c))
-        out.append(x)
+        entries[path_nodes[p]] = c
+        out.append(MpVector(entries))
     return out
 
 
@@ -239,21 +241,32 @@ def extremal_filter(gens: GeneratorSet | Iterable[MpVector]) -> ScaledBasis:
     """Reduce a generating set to its scaled extremals.
 
     A scaled generator is extremal exactly when it is not a combination of
-    the other scaled generators, so one span test per distinct scaled
-    vector suffices.  The tests share one :class:`SpanIndex`, and a vector
-    found redundant leaves it at once: the scaled extremals belong to
-    every scaled generating set, so those remaining still span the same
-    subsemimodule.  The result is its unique scaled basis.
+    the other scaled generators, and only those whose support lies inside
+    its own can take part.  So the distinct scaled vectors are decided one
+    support at a time, in ascending order of support size, then mask, then
+    vector: a total order, so the work does not depend on set iteration
+    order.  One :class:`SpanIndex` grows a support group at a time.  The
+    whole group enters before any of it is tested, since a vector may lean
+    on others of its own support, and a vector found redundant leaves at
+    once.  The scaled extremals belong to every scaled generating set, so
+    the index holds only the group and the extremals found so far, which
+    still span every vector already decided.  The result is the unique
+    scaled basis.
     """
     vectors = gens.vectors if isinstance(gens, GeneratorSet) else tuple(gens)
-    scaled = sorted({v.scaled() for v in vectors})
-    index = SpanIndex(scaled)
+    masks = SpanIndex({v.scaled() for v in vectors}).masks
+    order = sorted(masks, key=lambda v: (masks[v].bit_count(), masks[v], v))
+    index = SpanIndex()
     keep = []
-    for v in scaled:
-        if in_span(v, index, v):
-            index.discard(v)
-        else:
-            keep.append(v)
+    for _, group in groupby(order, masks.__getitem__):
+        group = list(group)
+        for v in group:
+            index.add(v)
+        for v in group:
+            if in_span(v, index, v):
+                index.discard(v)
+            else:
+                keep.append(v)
     return ScaledBasis(keep)
 
 

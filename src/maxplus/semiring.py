@@ -328,29 +328,33 @@ def _support_mask(x: MpVector) -> int:
 class SpanIndex:
     """A set of proper generators of equal dimension with their support masks.
 
-    Built once and then used for many :func:`in_span` tests.  Only
-    :meth:`discard` changes an index.
+    Used for many :func:`in_span` tests; :meth:`add` and :meth:`discard`
+    change it between tests.
     """
 
     __slots__ = ("dimension", "masks")
 
-    def __init__(self, gens: Iterable[MpVector]):
+    def __init__(self, gens: Iterable[MpVector] = ()):
         self.dimension: int | None = None
         self.masks: dict[MpVector, int] = {}
         for w in gens:
-            if self.dimension is None:
-                self.dimension = len(w)
-            elif len(w) != self.dimension:
-                raise DimensionError(
-                    f"generators of dimension {self.dimension} and {len(w)}"
-                )
-            mask = _support_mask(w)
-            if not mask:
-                raise ImproperVectorError("the all -inf vector as a generator")
-            self.masks[w] = mask
+            self.add(w)
 
     def __len__(self) -> int:
         return len(self.masks)
+
+    def add(self, w: MpVector) -> None:
+        """Insert the proper generator w."""
+        if self.dimension is None:
+            self.dimension = len(w)
+        elif len(w) != self.dimension:
+            raise DimensionError(
+                f"generators of dimension {self.dimension} and {len(w)}"
+            )
+        mask = _support_mask(w)
+        if not mask:
+            raise ImproperVectorError("the all -inf vector as a generator")
+        self.masks[w] = mask
 
     def discard(self, w: MpVector) -> None:
         """Remove w, if present."""

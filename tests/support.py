@@ -17,11 +17,14 @@ from fractions import Fraction
 from typing import Iterable
 
 from maxplus import (
+    Digraph,
     ExtReal,
     ImproperVectorError,
     MpMatrix,
     MpVector,
     NEG_INF,
+    cycle_path_generators,
+    max_cycle_mean,
     parse_matrix,
     parse_vector,
     residual,
@@ -331,6 +334,56 @@ def zero_critical_cycle(a: MpMatrix) -> MpMatrix:
     )
 
 
+def ring_with_chords(rng: random.Random, n: int) -> MpMatrix:
+    """A Hamiltonian cycle with random weights and one random arc per node."""
+    rows: list[list[ExtReal]] = [[NEG_INF] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] = rng.randint(-3, 3)
+        rows[i][rng.randrange(n)] = rng.randint(-6, 0)
+    return MpMatrix.from_rows(rows)
+
+
+def wider_cases() -> list[MpMatrix]:
+    """Structured families, then random n in {8, 10} with 20 to 400
+    closed-form generators."""
+
+    def cycle_mean(a: MpMatrix) -> ExtReal:
+        return max_cycle_mean(Digraph.from_matrix(a))
+
+    rng = random.Random(42009)
+    cases = [chain_into_loop(n) for n in (2, 5, 12, 20)]
+    cases += [chain_into_loop(n, rng) for n in (7, 15)]
+    cases += [
+        block_triangular(rng, sizes)
+        for sizes in ((2, 2), (3, 3, 3), (2, 3, 2), (4, 3), (2, 2, 2, 2))
+    ]
+    cases += [fractional_matrix(rng, n) for n in (4, 5, 6, 6)]
+    cases += [complete_matrix(rng, n) for n in (1, 2, 3, 4, 5)]
+    cases += [
+        zero_critical_cycle(a)
+        for a in (
+            complete_matrix(rng, 4),
+            block_triangular(rng, (3, 3)),
+            fractional_matrix(rng, 5, neg_inf_p=0.3),
+            ring_with_chords(rng, 6),
+        )
+    ]
+    # A member with no proper solution gives three empty bases; shifted so
+    # that its critical cycles weigh zero, it has a basis to compare.
+    cases = [
+        zero_critical_cycle(a) if NEG_INF < cycle_mean(a) < 0 else a
+        for a in cases
+    ]
+    found = 0
+    while found < 16:
+        a = rand_matrix(rng, (8, 10)[found % 2], neg_inf_p=0.75)
+        if cycle_mean(a) < 0 or not 20 <= len(cycle_path_generators(a)) <= 400:
+            continue
+        cases.append(a)
+        found += 1
+    return cases
+
+
 NI = NEG_INF
 
 
@@ -442,3 +495,35 @@ def brute_path_extremals(a: MpMatrix, path, terminal: MpVector, oracle) -> tuple
             break
         out.append(scaled)
     return out, trace
+
+
+def brute_path_generators(a: MpMatrix, structure) -> list[MpVector]:
+    """The closed-form family as first written, in the library's order.
+
+    Every entry is set by joining a scaled unit vector: a cycle generator
+    walks its rotation, each feeder path step raises one path node.
+    """
+    n = len(a)
+    out: list[MpVector] = []
+    for cycle, paths in zip(structure.cycles, structure.paths):
+        nodes = cycle.nodes
+        t = len(nodes)
+        gens = []
+        for j in range(t):
+            x = unit(n, nodes[0])
+            val: ExtReal = 0
+            for s in range(t - 1):
+                credit = cycle.weight if s == j else 0
+                val = val + credit - a.entry(nodes[s], nodes[s + 1])
+                x = brute_join(x, brute_scale(unit(n, nodes[s + 1]), val))
+            gens.append(x)
+        out.extend(gens)
+        for path in paths:
+            p_nodes = path.nodes
+            x = gens[(nodes.index(p_nodes[-1]) - 1) % t]
+            c = x[p_nodes[-1]]
+            for p in range(len(p_nodes) - 2, -1, -1):
+                c = c + a.entry(p_nodes[p], p_nodes[p + 1])
+                x = brute_join(x, brute_scale(unit(n, p_nodes[p]), c))
+                out.append(x)
+    return out

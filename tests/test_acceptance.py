@@ -37,19 +37,15 @@ from maxplus import (
     vector,
 )
 from support import (
-    block_triangular,
     brute_in_span,
     brute_max_cycle_mean,
-    chain_into_loop,
     combine_row,
-    complete_matrix,
-    fractional_matrix,
-    zero_critical_cycle,
     example_basis_vectors,
     example_matrix,
     rand_matrix,
     rand_vector,
     recording,
+    wider_cases,
 )
 
 
@@ -171,52 +167,6 @@ def test_c4_three_route_agreement():
             assert brute_in_span(g, members)
         done += 1
     assert time.perf_counter() - t0 < 300.0
-
-
-def ring_with_chords(rng, n):
-    """A Hamiltonian cycle with random weights and one random arc per node."""
-    rows = [[NEG_INF] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][(i + 1) % n] = rng.randint(-3, 3)
-        rows[i][rng.randrange(n)] = rng.randint(-6, 0)
-    return MpMatrix.from_rows(rows)
-
-
-def wider_cases():
-    """Structured families, then random n in {8, 10} with 20 to 400
-    closed-form generators."""
-    rng = random.Random(42009)
-    cases = [chain_into_loop(n) for n in (2, 5, 12, 20)]
-    cases += [chain_into_loop(n, rng) for n in (7, 15)]
-    cases += [
-        block_triangular(rng, sizes)
-        for sizes in ((2, 2), (3, 3, 3), (2, 3, 2), (4, 3), (2, 2, 2, 2))
-    ]
-    cases += [fractional_matrix(rng, n) for n in (4, 5, 6, 6)]
-    cases += [complete_matrix(rng, n) for n in (1, 2, 3, 4, 5)]
-    cases += [
-        zero_critical_cycle(a)
-        for a in (
-            complete_matrix(rng, 4),
-            block_triangular(rng, (3, 3)),
-            fractional_matrix(rng, 5, neg_inf_p=0.3),
-            ring_with_chords(rng, 6),
-        )
-    ]
-    # A member with no proper solution gives three empty bases; shifted so
-    # that its critical cycles weigh zero, it has a basis to compare.
-    cases = [
-        zero_critical_cycle(a) if NEG_INF < cycle_mean(a) < 0 else a
-        for a in cases
-    ]
-    found = 0
-    while found < 16:
-        a = rand_matrix(rng, (8, 10)[found % 2], neg_inf_p=0.75)
-        if cycle_mean(a) < 0 or not 20 <= len(cycle_path_generators(a)) <= 400:
-            continue
-        cases.append(a)
-        found += 1
-    return cases
 
 
 @criterion("c9", "three routes agree on structured families and random n in {8, 10}")

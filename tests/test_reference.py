@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxplus import semiring
 from maxplus import (
     NEG_INF,
     Cycle,
@@ -38,6 +39,8 @@ from support import (
     block_triangular,
     brute_double_description,
     brute_in_span,
+    brute_normalized,
+    brute_path_generators,
     chain_into_loop,
     complete_matrix,
     fractional_matrix,
@@ -46,12 +49,22 @@ from support import (
     example_matrix,
     mk,
     rand_matrix,
+    wider_cases,
 )
 
 
 def brute_extremal(v, scaled):
     """Not in the span of the other scaled generators, by the principal solution."""
     return not brute_in_span(v, [w for w in scaled if w != v])
+
+
+def brute_filter(vectors):
+    """The scaled extremals, each scaled vector tested against all the others.
+
+    Equal scaled vectors keep the first one met, as a set does.
+    """
+    scaled = list(dict.fromkeys(brute_normalized(v)[1] for v in vectors))
+    return ScaledBasis(v for v in scaled if brute_extremal(v, scaled))
 
 
 small_entries = st.one_of(
@@ -112,6 +125,19 @@ class TestCyclePathGenerators:
         got = set(gens.vectors)
         for link in chain:
             assert link in got
+
+    def test_matches_join_form(self):
+        # each path step writes one entry in place of a join; same vectors,
+        # same order, same entry types
+        rng = random.Random(8080)
+        cases = [rand_matrix(rng, rng.randint(2, 7)) for _ in range(30)]
+        cases += [fractional_matrix(rng, rng.randint(3, 7)) for _ in range(20)]
+        cases += [chain_into_loop(n) for n in (2, 9)] + [chain_into_loop(12, rng)]
+        cases += [block_triangular(rng, sizes) for sizes in ((3, 2), (2, 3, 2))]
+        for a in cases:
+            s = cycle_structure(Digraph.from_matrix(a))
+            want = brute_path_generators(a, s)
+            assert typed(cycle_path_generators(a, structure=s).vectors) == typed(want)
 
     def test_worked_example_counts(self):
         gens = cycle_path_generators(example_matrix())
@@ -306,6 +332,44 @@ class TestExtremalFilter:
         scaled = sorted({v.scaled() for v in vs})
         want = [v for v in scaled if brute_extremal(v, scaled)]
         assert list(extremal_filter(vs)) == want
+
+    def test_join_leaning_on_a_later_vector_of_its_support(self):
+        # v = u1 join (-1)u2 shares its support with both and sorts before
+        # u2, so u2 must be in the index when v is tested
+        u1, u2 = vector([-3, 0]), vector([0, -3])
+        v = u1.join(u2.scale(-1))
+        assert u1 < v < u2
+        for vs in itertools.permutations([v, u1, u2]):
+            assert list(extremal_filter(vs)) == [u1, u2]
+
+    def test_matches_brute_on_wider_families(self):
+        for a in wider_cases():
+            for gens in (
+                cycle_path_generators(a),
+                double_description(TwoSidedSystem.supereigen(a)),
+            ):
+                got = extremal_filter(gens)
+                assert typed(got) == typed(brute_filter(gens)), a
+
+    def test_work_does_not_depend_on_input_order(self, monkeypatch):
+        calls = []
+        residual = semiring.residual
+
+        def counted(v, w):
+            calls.append(None)
+            return residual(v, w)
+
+        monkeypatch.setattr(semiring, "residual", counted)
+        rng = random.Random(1009)
+        vectors = list(cycle_path_generators(rand_matrix(rng, 8, neg_inf_p=0.6)))
+        counts, bases = set(), set()
+        for _ in range(5):
+            rng.shuffle(vectors)
+            calls.clear()
+            bases.add(extremal_filter(vectors))
+            counts.add(len(calls))
+        assert len(bases) == 1
+        assert len(counts) == 1 and counts.pop() > 0
 
     def test_worked_example_both_routes(self):
         a = example_matrix()

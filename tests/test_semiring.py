@@ -51,6 +51,14 @@ def vectors(n: int):
     return st.lists(scalars, min_size=n, max_size=n).map(MpVector)
 
 
+def in_grown_span(v, gens):
+    """in_span over an index grown one generator at a time with add."""
+    index = SpanIndex()
+    for w in gens:
+        index.add(w)
+    return in_span(v, index)
+
+
 @st.composite
 def span_cases(draw):
     """(v, generators): proper generators with repeats, and a v that is
@@ -405,6 +413,7 @@ class TestInSpan:
         want = brute_in_span(v, gens)
         assert in_span(v, gens) == want
         assert in_span(v, SpanIndex(gens)) == want
+        assert in_grown_span(v, gens) == want
 
     @given(span_cases(), st.data())
     def test_skip_leaves_out_every_copy(self, case, data):
@@ -414,6 +423,22 @@ class TestInSpan:
         want = brute_in_span(v, [w for w in gens if w != skip])
         assert in_span(v, index, skip) == want
         assert len(index) == len(set(gens))
+
+    @given(span_cases(), st.data())
+    def test_grown_index_matches_fresh(self, case, data):
+        # grow part of the index with add, around a discard, as the
+        # filter does group by group
+        v, gens = case
+        k = data.draw(st.integers(0, len(gens)))
+        index = SpanIndex(gens[:k])
+        gone = data.draw(st.sampled_from(gens[:k])) if k else None
+        index.discard(gone)
+        for w in gens[k:]:
+            index.add(w)
+        fresh = SpanIndex([w for w in gens[:k] if w != gone] + gens[k:])
+        assert index.masks == fresh.masks
+        for skip in [None, v, *gens]:
+            assert in_span(v, index, skip) == in_span(v, fresh, skip)
 
     @given(span_cases(), st.data())
     def test_discard_removes_every_copy(self, case, data):
@@ -427,7 +452,7 @@ class TestInSpan:
         assert len(index) == len(set(rest))
         assert in_span(v, index) == brute_in_span(v, rest)
 
-    @pytest.mark.parametrize("check", [in_span, brute_in_span])
+    @pytest.mark.parametrize("check", [in_span, brute_in_span, in_grown_span])
     def test_generator_of_other_dimension(self, check):
         with pytest.raises(DimensionError):
             check(vector([0, -1]), [vector([0, -1, 0])])
@@ -436,7 +461,7 @@ class TestInSpan:
         with pytest.raises(DimensionError):
             check(bottom(2), [vector([0])])
 
-    @pytest.mark.parametrize("check", [in_span, brute_in_span])
+    @pytest.mark.parametrize("check", [in_span, brute_in_span, in_grown_span])
     def test_improper_generator(self, check):
         with pytest.raises(ImproperVectorError):
             check(vector([0, -1]), [vector([0, 0]), bottom(2)])
