@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verify mismatch, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -77,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=DEFAULT_MAX_CYCLES,
             metavar="K",
-            help="abort (exit 3) past K enumerated cycles or paths, "
-            "or K dd satisfier/violator pairs [%(default)s]",
+            help="abort (exit 3) past K enumerated cycles, K feeder paths "
+            "of one cycle, or K dd satisfier/violator pairs [%(default)s]",
         )
         if method:
             p.add_argument(
@@ -134,7 +135,7 @@ def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
     if method == "wang2020":
         structure = cycle_structure(d, cap)
         gens = cycle_path_generators(a, structure=structure)
-        scaled = gens.scaled_set()
+        scaled = {v.scaled() for v in gens}
         basis = extremal_filter(scaled)
         stats = SearchStats(
             cycles=len(structure.cycles),
@@ -177,12 +178,7 @@ def _cmd_basis(args) -> int:
             "lambda": format_scalar(result.cycle_mean),
             "solvable": result.solvable,
             "basis": [[_json_scalar(e) for e in v] for v in result.basis],
-            "stats": {
-                "cycles": result.stats.cycles,
-                "paths": result.stats.paths,
-                "candidates": result.stats.candidates,
-                "duplicates": result.stats.duplicates,
-            },
+            "stats": dataclasses.asdict(result.stats),
         }
         print(json.dumps(payload))
         return 0
@@ -283,6 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exact values outgrow the int/str conversion limit (sums of long
+    # tokens, say); parse_scalar bounds the tokens themselves.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.max_cycles < 0:
             raise UsageError(f"--max-cycles must be >= 0, got {args.max_cycles}")
@@ -293,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     except CycleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run() -> None:

@@ -39,10 +39,6 @@ class MatrixDocument:
 
     matrix: MpMatrix
 
-    @property
-    def n(self) -> int:
-        return len(self.matrix)
-
 
 def parse_matrix(text: str) -> MatrixDocument:
     """Parse delimited text into a square matrix document."""

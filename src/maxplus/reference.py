@@ -53,7 +53,6 @@ from .semiring import (
 class GeneratorSet:
     """Vectors spanning a subsemimodule."""
 
-    dimension: int
     vectors: tuple[MpVector, ...]
 
     def scaled_set(self) -> tuple[MpVector, ...]:
@@ -188,7 +187,7 @@ def cycle_path_generators(
         vectors.extend(gens)
         for path in paths:
             vectors.extend(_path_generators(a, cycle, gens, path.nodes))
-    return GeneratorSet(len(a), tuple(vectors))
+    return GeneratorSet(tuple(vectors))
 
 
 def double_description(
@@ -234,10 +233,10 @@ def double_description(
                 if z is not None:
                     new.add(z)
         current = sorted(new)
-    return GeneratorSet(d, tuple(current))
+    return GeneratorSet(tuple(current))
 
 
-def extremal_filter(gens: GeneratorSet | Iterable[MpVector]) -> ScaledBasis:
+def extremal_filter(gens: Iterable[MpVector]) -> ScaledBasis:
     """Reduce a generating set to its scaled extremals.
 
     A scaled generator is extremal exactly when it is not a combination of
@@ -253,8 +252,7 @@ def extremal_filter(gens: GeneratorSet | Iterable[MpVector]) -> ScaledBasis:
     still span every vector already decided.  The result is the unique
     scaled basis.
     """
-    vectors = gens.vectors if isinstance(gens, GeneratorSet) else tuple(gens)
-    masks = SpanIndex({v.scaled() for v in vectors}).masks
+    masks = SpanIndex({v.scaled() for v in gens}).masks
     order = sorted(masks, key=lambda v: (masks[v].bit_count(), masks[v], v))
     index = SpanIndex()
     keep = []
@@ -277,20 +275,14 @@ class SpanOracle:
     of the other scaled generators; extremals belong to every scaled
     generating set, so testing against this particular one is conclusive.
     Callers guarantee v solves A (x) >= x and is scaled.  The generators
-    sit in a :class:`SpanIndex` built once and never changed.  Verdicts
-    are memoized.
+    sit in a :class:`SpanIndex` built once and never changed.
     """
 
-    __slots__ = ("_gens", "_cache")
+    __slots__ = ("_gens",)
 
     def __init__(self, a: MpMatrix, *, max_cycles: int | None = DEFAULT_MAX_CYCLES):
         gens = cycle_path_generators(a, max_cycles=max_cycles)
         self._gens = SpanIndex(gens.scaled_set())
-        self._cache: dict[MpVector, bool] = {}
 
     def __call__(self, v: MpVector) -> bool:
-        hit = self._cache.get(v)
-        if hit is None:
-            hit = not in_span(v, self._gens, v)
-            self._cache[v] = hit
-        return hit
+        return not in_span(v, self._gens, v)

@@ -165,10 +165,6 @@ class MpVector(tuple):
         """The unique scalar multiple with largest entry 0."""
         return self.normalized()[1]
 
-    def support(self) -> frozenset[int]:
-        """Indices of finite entries."""
-        return frozenset(i for i, e in enumerate(self) if e is not NEG_INF)
-
     @property
     def is_proper(self) -> bool:
         """True when at least one entry is finite."""
@@ -221,10 +217,6 @@ class MpMatrix(tuple):
     def identity(cls, n: int) -> "MpMatrix":
         """Max-plus identity: 0 on the diagonal, -inf off it."""
         return cls(unit(n, i) for i in range(n))
-
-    @property
-    def n(self) -> int:
-        return len(self)
 
     def row(self, i: int) -> MpVector:
         return self[i]
@@ -368,7 +360,8 @@ def in_span(
 ) -> bool:
     """Whether v is a max-plus combination of the generators other than skip.
 
-    Pass a :class:`SpanIndex` to reuse the support masks across tests.
+    Pass a :class:`SpanIndex` to reuse the support masks across tests,
+    v's own included when v is in the index.
     Only a generator w whose support lies inside the support of v can take
     part, with coefficient residual(v, w); since residual(v, w) + w <= v,
     v lies in the span iff every finite coordinate of v is reached exactly
@@ -383,7 +376,7 @@ def in_span(
             f"vector of dimension {len(v)} against generators of "
             f"dimension {index.dimension}"
         )
-    todo = _support_mask(v)
+    todo = index.masks.get(v) or _support_mask(v)
     outside = ~todo
     live = [
         (w, m) for w, m in index.masks.items() if not m & outside and w != skip
@@ -448,7 +441,12 @@ class ScaledBasis:
         return f"ScaledBasis({list(self.vectors)!r})"
 
 
-_SCALAR_TOKEN = re.compile(r"[-+]?(?:\d+(?:/\d+)?|\d*\.\d+|\d+\.)")
+# Every digit run is bounded at CPython's default int/str conversion limit.
+# The CLI lifts that limit while it runs a command, so there this bound
+# alone decides, whatever PYTHONINTMAXSTRDIGITS says.
+_SCALAR_TOKEN = re.compile(
+    r"[-+]?(?:\d{1,4300}(?:/\d{1,4300})?|\d{0,4300}\.\d{1,4300}|\d{1,4300}\.)"
+)
 
 
 def format_scalar(x: ExtReal) -> str:
@@ -464,6 +462,7 @@ def parse_scalar(token: str) -> ExtReal:
     Decimals are converted exactly: '2.5' becomes 5/2, never a float.
     Raises ValueError on anything else, exponent notation included: a
     token like '1e999999999' would make Fraction build a huge power of ten.
+    A run of more than 4,300 digits is rejected too.
     """
     tok = token.strip()
     if tok in ("-inf", "-Inf", "-INF"):

@@ -396,3 +396,72 @@ class TestExitCodes:
             done = run_module("maxplus", *args)
             assert done.returncode == 2
             assert done.stderr.startswith("error:")
+
+
+def times_w(k: int) -> str:
+    """Decimal digits of k * (10**4300 - 1) for 1 <= k <= 9.
+
+    Spelled out by hand: for k > 1 the value has 4,301 digits, past
+    CPython's default int/str conversion limit.
+    """
+    return ("" if k == 1 else str(k - 1)) + "9" * 4299 + str(10 - k)
+
+
+class TestLargeValues:
+    """Tokens of up to 4,300 digits, whose sums outgrow that many digits."""
+
+    W = times_w(1)
+    CYCLE3 = f"-inf {W} -inf\n-inf -inf {W}\n{W} -inf -inf\n"
+    BASIS3 = [
+        ["-" + times_w(2), "0", "-" + times_w(1)],
+        ["-" + times_w(1), "-" + times_w(2), "0"],
+        ["0", "-" + times_w(1), "-" + times_w(2)],
+    ]
+
+    @pytest.mark.parametrize("args", [
+        ["basis"],
+        ["basis", "--method", "wang2020"],
+        ["basis", "--method", "dd"],
+        ["generators", "--method", "wang2020"],
+    ])
+    def test_three_cycle_vectors(self, tmp_path, capsys, args):
+        f = write(tmp_path, self.CYCLE3)
+        assert cli.main([args[0], f, *args[1:]]) == 0
+        want = "".join(" ".join(row) + "\n" for row in self.BASIS3)
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_three_cycle_json(self, tmp_path, capsys, method):
+        f = write(tmp_path, self.CYCLE3)
+        assert cli.main(["basis", f, "--method", method, "--json"]) == 0
+        basis = ", ".join("[" + ", ".join(row) + "]" for row in self.BASIS3)
+        head = f'{{"n": 3, "lambda": "{self.W}", "solvable": true, "basis": [{basis}], '
+        assert capsys.readouterr().out.startswith(head)
+
+    def test_cycle_weights(self, tmp_path, capsys):
+        two = write(tmp_path, f"-inf {self.W}\n{self.W} -inf\n", name="two.txt")
+        assert cli.main(["cycles", two]) == 0
+        assert capsys.readouterr().out == f"1 2\t{times_w(2)}\n"
+        assert cli.main(["cycles", write(tmp_path, self.CYCLE3)]) == 0
+        assert capsys.readouterr().out == f"1 2 3\t{times_w(3)}\n"
+
+    def test_conversion_limit_restored(self, tmp_path, capsys):
+        f = write(tmp_path, self.CYCLE3)
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            assert cli.main(["cycles", f]) == 0
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    def test_digit_runs_bounded_at_4300(self, tmp_path, capsys):
+        for token in ("9" * 4301, "1/" + "7" * 4301, "0." + "1" * 4301):
+            assert cli.main(["lambda", write(tmp_path, token + "\n")]) == 2
+            assert "bad scalar token" in capsys.readouterr().err
+        assert cli.main(["lambda", write(tmp_path, "0." + "1" * 4300 + "\n")]) == 0
+
+    def test_accepted_tokens_do_not_depend_on_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
+        done = run_module("maxplus", "lambda", write(tmp_path, "8" * 700 + "\n"))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "8" * 700 + "\n", "")

@@ -27,7 +27,7 @@ entry = st.one_of(
 class TestParseMatrix:
     def test_worked_example(self):
         doc = parse_matrix(EXAMPLE_TEXT)
-        assert doc.n == 5
+        assert len(doc.matrix) == 5
         assert doc.matrix.entry(0, 0) == -3
         assert doc.matrix.entry(2, 3) == 2
         assert doc.matrix.entry(4, 4) is NEG_INF
@@ -43,7 +43,7 @@ class TestParseMatrix:
         assert isinstance(doc.matrix.entry(1, 0), int)
 
     def test_trailing_blank_lines_ok(self):
-        assert parse_matrix("0 1\n2 3\n\n\n").n == 2
+        assert len(parse_matrix("0 1\n2 3\n\n\n").matrix) == 2
 
     def test_ragged_row_reports_line(self):
         with pytest.raises(MatrixParseError) as err:
