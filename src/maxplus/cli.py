@@ -50,9 +50,12 @@ from .reference import (
 from .semiring import (
     NEG_INF,
     MpMatrix,
+    MpVector,
     format_scalar,
     format_vector,
+    integer_scaled,
     parse_scalar,
+    unscaled,
 )
 
 METHODS = ("extremal", "wang2020", "dd")
@@ -113,18 +116,30 @@ def _load(path: str) -> MpMatrix:
     return parse_matrix(Path(path).read_text(encoding="utf-8-sig")).matrix
 
 
-def _effective(args) -> MpMatrix:
+def _effective(args) -> tuple[int, MpMatrix]:
+    """``(k, k A)`` for the file's A, shifted by ``--lambda`` when given.
+
+    k is the LCM of A's denominators (see ``integer_scaled``), so every
+    route runs on ints; values are divided by k only where they are printed.
+    """
     a = _load(args.file)
     lam = getattr(args, "lam", None)
-    if lam is None:
-        return a
-    try:
-        shift = parse_scalar(lam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    if shift is NEG_INF:
-        raise UsageError("--lambda must be finite")
-    return a.shift(-shift)
+    if lam is not None:
+        try:
+            shift = parse_scalar(lam)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        if shift is NEG_INF:
+            raise UsageError("--lambda must be finite")
+        a = a.shift(-shift)
+    return integer_scaled(a)
+
+
+def _line(v: MpVector, k: int) -> str:
+    """The printed form of v / k, for v computed on k A."""
+    if k == 1:
+        return format_vector(v)
+    return format_vector(MpVector([unscaled(e, k) for e in v]))
 
 
 def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
@@ -160,40 +175,42 @@ def _json_scalar(e):
     return str(e)
 
 
-def _print_unsolvable(result: BasisResult) -> None:
+def _print_unsolvable(result: BasisResult, k: int) -> None:
     if not result.solvable:
         print(
             "no proper solution: maximum cycle mean "
-            f"{format_scalar(result.cycle_mean)} is negative",
+            f"{format_scalar(unscaled(result.cycle_mean, k))} is negative",
             file=sys.stderr,
         )
 
 
 def _cmd_basis(args) -> int:
-    a = _effective(args)
+    k, a = _effective(args)
     result = _basis_by_method(a, args.method, args.max_cycles)
     if args.json:
         payload = {
             "n": len(a),
-            "lambda": format_scalar(result.cycle_mean),
+            "lambda": format_scalar(unscaled(result.cycle_mean, k)),
             "solvable": result.solvable,
-            "basis": [[_json_scalar(e) for e in v] for v in result.basis],
+            "basis": [
+                [_json_scalar(unscaled(e, k)) for e in v] for v in result.basis
+            ],
             "stats": dataclasses.asdict(result.stats),
         }
         print(json.dumps(payload))
         return 0
-    _print_unsolvable(result)
+    _print_unsolvable(result, k)
     for v in result.basis:
-        print(format_vector(v))
+        print(_line(v, k))
     return 0
 
 
 def _cmd_generators(args) -> int:
-    a = _effective(args)
+    k, a = _effective(args)
     cap = args.max_cycles
     if args.method == "extremal":
         result = generator_enumeration(a, max_cycles=cap)
-        _print_unsolvable(result)
+        _print_unsolvable(result, k)
         vectors = result.basis.vectors
     elif args.method == "wang2020":
         gens = cycle_path_generators(a, max_cycles=cap)
@@ -201,26 +218,29 @@ def _cmd_generators(args) -> int:
     else:
         vectors = double_description(TwoSidedSystem.supereigen(a), cap).vectors
     for v in vectors:
-        print(format_vector(v))
+        print(_line(v, k))
     return 0
 
 
 def _cmd_lambda(args) -> int:
-    print(format_scalar(max_cycle_mean(Digraph.from_matrix(_load(args.file)))))
+    k, a = _effective(args)
+    print(format_scalar(unscaled(max_cycle_mean(Digraph.from_matrix(a)), k)))
     return 0
 
 
 def _cmd_cycles(args) -> int:
-    d = Digraph.from_matrix(_load(args.file))
-    for c in nonneg_elementary_cycles(d, args.max_cycles):
+    k, a = _effective(args)
+    for c in nonneg_elementary_cycles(Digraph.from_matrix(a), args.max_cycles):
         nodes = " ".join(str(v + 1) for v in c.nodes)
-        print(f"{nodes}\t{format_scalar(c.weight)}")
+        print(f"{nodes}\t{format_scalar(unscaled(c.weight, k))}")
     return 0
 
 
 def _cmd_check(args) -> int:
-    a = _load(args.file)
+    k, a = _effective(args)
     x = parse_vector(args.vector, len(a))
+    if k != 1:
+        x = MpVector([e if e is NEG_INF else e * k for e in x])
     member = in_supereig(a, x)
     extremal = False
     if member:
@@ -235,7 +255,7 @@ def _three_bases(a: MpMatrix, cap: int) -> dict[str, BasisResult]:
 
 
 def _cmd_verify(args) -> int:
-    a = _load(args.file)
+    k, a = _effective(args)
     results = _three_bases(a, args.max_cycles)
     bases = {m: r.basis for m, r in results.items()}
     names = list(bases)
@@ -250,9 +270,9 @@ def _cmd_verify(args) -> int:
             only_left = [v for v in left if v not in right]
             only_right = [v for v in right if v not in left]
             for v in only_left[:5]:
-                print(f"  only {names[0]}: {format_vector(v)}", file=sys.stderr)
+                print(f"  only {names[0]}: {_line(v, k)}", file=sys.stderr)
             for v in only_right[:5]:
-                print(f"  only {other}: {format_vector(v)}", file=sys.stderr)
+                print(f"  only {other}: {_line(v, k)}", file=sys.stderr)
             return 1
     s = results["extremal"].stats
     print(f"OK: 3 methods agree, |basis|={len(bases['extremal'])}")
@@ -275,18 +295,18 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     # Exact values outgrow the int/str conversion limit (sums of long
-    # tokens, say); parse_scalar bounds the tokens themselves.
+    # tokens, say), and --max-cycles is converted while parsing, so the
+    # limit is lifted first; parse_scalar bounds the tokens themselves.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(argv)
         if args.max_cycles < 0:
             raise UsageError(f"--max-cycles must be >= 0, got {args.max_cycles}")
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     except (UsageError, MatrixParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

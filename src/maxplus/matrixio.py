@@ -63,10 +63,8 @@ def parse_matrix(text: str) -> MatrixDocument:
         for ci, tok in enumerate(tokens, start=1):
             try:
                 row.append(parse_scalar(tok))
-            except ValueError:
-                raise MatrixParseError(
-                    f"bad scalar token {tok!r}", line=li, column=ci
-                ) from None
+            except ValueError as exc:
+                raise MatrixParseError(str(exc), line=li, column=ci) from None
         rows.append(row)
     return MatrixDocument(MpMatrix.from_rows(rows))
 
@@ -82,10 +80,8 @@ def parse_vector(text: str, n: int) -> MpVector:
     for ci, tok in enumerate(tokens, start=1):
         try:
             entries.append(parse_scalar(tok))
-        except ValueError:
-            raise MatrixParseError(
-                f"bad scalar token {tok!r}", line=1, column=ci
-            ) from None
+        except ValueError as exc:
+            raise MatrixParseError(str(exc), line=1, column=ci) from None
     return MpVector(entries)
 
 

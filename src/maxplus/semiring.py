@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Union
 
 
@@ -252,6 +253,38 @@ class MpMatrix(tuple):
         return MpMatrix(row.scale(c) for row in self)
 
 
+def integer_scaled(a: MpMatrix) -> tuple[int, MpMatrix]:
+    """``(k, k A)`` for k the LCM of the denominators of A's Fraction entries.
+
+    Every finite entry of k A is an ``int``.  For an integer k > 0, x -> k x
+    is an order-preserving automorphism of (R u {-inf}, max, +): x solves
+    A (x) >= x exactly when k x solves (k A) (x) >= x, and scaled vectors,
+    extremals, cycle weights and cycle means map to k times themselves.
+    With no Fraction entry this is ``(1, a)``, the same matrix object.
+    """
+    k = 1
+    for row in a:
+        for e in row:
+            if isinstance(e, Fraction):
+                k = lcm(k, e.denominator)
+    if k == 1:
+        return 1, a
+    return k, MpMatrix(
+        MpVector([e if e is NEG_INF else int(e * k) for e in row]) for row in a
+    )
+
+
+def unscaled(x: ExtReal, k: int) -> ExtReal:
+    """x / k exactly, the inverse of :func:`integer_scaled`'s map.
+
+    An ``int`` when k divides x; ``NEG_INF`` stays.
+    """
+    if k == 1 or x is NEG_INF:
+        return x
+    q = Fraction(x, k)
+    return q.numerator if q.denominator == 1 else q
+
+
 def boundary_point(
     v: MpVector, lo_w: ExtReal, w: MpVector, up_v: ExtReal
 ) -> MpVector | None:
@@ -447,6 +480,15 @@ class ScaledBasis:
 _SCALAR_TOKEN = re.compile(
     r"[-+]?(?:\d{1,4300}(?:/\d{1,4300})?|\d{0,4300}\.\d{1,4300}|\d{1,4300}\.)"
 )
+# Plain integers, the common token, skip Fraction.
+_INT_TOKEN = re.compile(r"[-+]?\d{1,4300}")
+
+
+def _quoted(token: str) -> str:
+    """repr of the token, cut to its first 40 characters when longer."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:40]!r}... ({len(token)} characters)"
 
 
 def format_scalar(x: ExtReal) -> str:
@@ -462,20 +504,21 @@ def parse_scalar(token: str) -> ExtReal:
     Decimals are converted exactly: '2.5' becomes 5/2, never a float.
     Raises ValueError on anything else, exponent notation included: a
     token like '1e999999999' would make Fraction build a huge power of ten.
-    A run of more than 4,300 digits is rejected too.
+    A run of more than 4,300 digits is rejected too.  The error message
+    quotes a long token by its first 40 characters and its length.
     """
     tok = token.strip()
     if tok in ("-inf", "-Inf", "-INF"):
         return NEG_INF
-    if not _SCALAR_TOKEN.fullmatch(tok):
-        raise ValueError(f"bad scalar token {token!r}")
     try:
-        f = Fraction(tok)
+        if _INT_TOKEN.fullmatch(tok):
+            return int(tok)
+        if _SCALAR_TOKEN.fullmatch(tok):
+            f = Fraction(tok)
+            return int(f) if f.denominator == 1 else f
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad scalar token {token!r}") from exc
-    if f.denominator == 1:
-        return int(f)
-    return f
+        raise ValueError(f"bad scalar token {_quoted(token)}") from exc
+    raise ValueError(f"bad scalar token {_quoted(token)}")
 
 
 def format_vector(x: MpVector) -> str:

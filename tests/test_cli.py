@@ -1,5 +1,6 @@
 """End-to-end command line tests: golden outputs, exit codes, enumeration counts."""
 
+import dataclasses
 import json
 import os
 import random
@@ -12,20 +13,41 @@ from pathlib import Path
 import pytest
 
 from maxplus import (
+    DEFAULT_MAX_CYCLES,
+    NEG_INF,
     BasisResult,
+    Digraph,
+    MpMatrix,
+    MpVector,
     ScaledBasis,
     SearchStats,
+    SpanOracle,
+    TwoSidedSystem,
+    cycle_path_generators,
+    double_description,
+    extremal_basis,
+    format_scalar,
+    format_vector,
+    generator_enumeration,
+    in_supereig,
+    max_cycle_mean,
+    nonneg_elementary_cycles,
     parse_matrix,
+    parse_scalar,
+    parse_vector,
     render_matrix,
     unit,
 )
 from maxplus import cli, digraph, extremals, reference
+from maxplus.semiring import integer_scaled
 from support import (
     EXAMPLE_BASIS_TEXT,
     EXAMPLE_TEXT,
     chain_into_loop,
     example_matrix,
+    fractional_matrix,
     rand_matrix,
+    zero_critical_cycle,
 )
 
 ALL_ZEROS_3 = "0 0 0\n0 0 0\n0 0 0\n"
@@ -465,3 +487,216 @@ class TestLargeValues:
         monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "640")
         done = run_module("maxplus", "lambda", write(tmp_path, "8" * 700 + "\n"))
         assert (done.returncode, done.stdout, done.stderr) == (0, "8" * 700 + "\n", "")
+
+    def test_max_cycles_parsed_under_lifted_limit(self, tmp_path, capsys):
+        f = write(tmp_path, "0\n")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert cli.main(["lambda", f, "--max-cycles", "8" * 700]) == 0
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize("where", ["matrix", "vector", "lambda"])
+    def test_long_bad_token_echo_is_bounded(self, tmp_path, capsys, where):
+        token = "9" * 4301
+        f = write(tmp_path, f"{token} 0\n0 0\n" if where == "matrix" else "0 0\n0 0\n")
+        argv = {
+            "matrix": ["lambda", f],
+            "vector": ["check", f, "--vector", "0 " + token],
+            "lambda": ["basis", f, "--lambda", token],
+        }[where]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+        assert "'" + "9" * 40 + "'... (4301 characters)" in err
+
+
+def library_output(a, command, method="extremal", *, as_json=False, vec=None):
+    """(stdout, stderr) of a command, formatted from the routes run on a as given."""
+    result = None
+    if command == "basis":
+        result = cli._basis_by_method(a, method, DEFAULT_MAX_CYCLES)
+        if as_json:
+            payload = {
+                "n": len(a),
+                "lambda": format_scalar(result.cycle_mean),
+                "solvable": result.solvable,
+                "basis": [[cli._json_scalar(e) for e in v] for v in result.basis],
+                "stats": dataclasses.asdict(result.stats),
+            }
+            return json.dumps(payload) + "\n", ""
+        lines = [format_vector(v) for v in result.basis]
+    elif command == "generators":
+        if method == "extremal":
+            result = generator_enumeration(a)
+            vectors = result.basis
+        elif method == "wang2020":
+            vectors = cycle_path_generators(a).scaled_set()
+        else:
+            vectors = double_description(TwoSidedSystem.supereigen(a)).vectors
+        lines = [format_vector(v) for v in vectors]
+    elif command == "lambda":
+        lines = [format_scalar(max_cycle_mean(Digraph.from_matrix(a)))]
+    elif command == "cycles":
+        lines = [
+            " ".join(str(v + 1) for v in c.nodes) + "\t" + format_scalar(c.weight)
+            for c in nonneg_elementary_cycles(Digraph.from_matrix(a))
+        ]
+    else:
+        x = parse_vector(vec, len(a))
+        member = in_supereig(a, x)
+        extremal = member and SpanOracle(a)(x.scaled())
+        lines = [
+            f"member: {'yes' if member else 'no'}",
+            f"extremal: {'yes' if extremal else 'no'}",
+        ]
+    err = ""
+    if result is not None and not result.solvable:
+        err = (
+            "no proper solution: maximum cycle mean "
+            f"{format_scalar(result.cycle_mean)} is negative\n"
+        )
+    return "".join(line + "\n" for line in lines), err
+
+
+def fractional_cases():
+    rng = random.Random(2024)
+    cases = []
+    for n in (3, 4, 4, 5, 5, 6):
+        a = fractional_matrix(rng, n, neg_inf_p=0.45)
+        cases.append(a)
+        if max_cycle_mean(Digraph.from_matrix(a)) is not NEG_INF:
+            cases.append(zero_critical_cycle(a))
+    return cases
+
+
+class TestIntegerRescale:
+    """The CLI runs every route on k A, k the LCM of A's denominators."""
+
+    def run(self, capsys, argv):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr()
+        return out.out, out.err
+
+    @pytest.mark.parametrize("case", range(len(fractional_cases())))
+    def test_same_output_as_routes_on_fractions(self, tmp_path, capsys, case):
+        a = fractional_cases()[case]
+        assert integer_scaled(a)[0] > 1
+        f = write(tmp_path, render_matrix(a))
+        for method in cli.METHODS:
+            want = library_output(a, "basis", method)
+            assert self.run(capsys, ["basis", f, "--method", method]) == want
+            want = library_output(a, "basis", method, as_json=True)
+            got = self.run(capsys, ["basis", f, "--method", method, "--json"])
+            assert got == want
+            want = library_output(a, "generators", method)
+            assert self.run(capsys, ["generators", f, "--method", method]) == want
+        for command in ("lambda", "cycles"):
+            assert self.run(capsys, [command, f]) == library_output(a, command)
+        lam = max_cycle_mean(Digraph.from_matrix(a))
+        shifts = ["-2/7"] + ([] if lam is NEG_INF else [format_scalar(lam)])
+        for shift in shifts:
+            b = a.shift(-parse_scalar(shift))
+            for method in cli.METHODS:
+                argv = ["basis", f, "--method", method, f"--lambda={shift}"]
+                assert self.run(capsys, argv) == library_output(b, "basis", method)
+                want = library_output(b, "basis", method, as_json=True)
+                assert self.run(capsys, [*argv, "--json"]) == want
+        rng = random.Random(case)
+        vectors = [format_vector(v) for v in extremal_basis(a).basis]
+        vectors += [
+            " ".join(
+                "-inf" if rng.random() < 0.3 else format_scalar(
+                    Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5)))
+                )
+                for _ in range(len(a))
+            )
+            for _ in range(4)
+        ]
+        for vec in vectors:
+            if vec.split() == ["-inf"] * len(a):
+                continue
+            want = library_output(a, "check", vec=vec)
+            assert self.run(capsys, ["check", f, "--vector", vec]) == want
+
+    def test_check_with_other_denominators(self, tmp_path, capsys):
+        a = parse_matrix("0 1/2 -inf\n-1/2 0 3/2\n-inf -5/2 -1/2\n").matrix
+        f = write(tmp_path, render_matrix(a))
+        verdicts = set()
+        for vec in ("0 -1/3 -inf", "0 -1/3 -4/3", "-1/3 0 -7/3", "2/3 0 -inf",
+                    "-inf 1/3 -inf", "-inf 1/3 -7/3"):
+            out = self.run(capsys, ["check", f, "--vector", vec])
+            assert out == library_output(a, "check", vec=vec)
+            verdicts.add(out[0])
+        assert len(verdicts) == 3
+
+    def test_no_fraction_reaches_the_routes(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def recording(name, entries):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                seen.extend(type(e) for e in entries(args[0]))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        recording("extremal_basis", lambda a: [e for row in a for e in row])
+        recording(
+            "double_description",
+            lambda s: [e for r in s.rows for e in (*r.lower, *r.upper)],
+        )
+        for a in fractional_cases():
+            out, _ = self.run(capsys, ["verify", write(tmp_path, render_matrix(a))])
+            assert out.startswith("OK: 3 methods agree")
+        assert seen and Fraction not in seen and int in seen
+
+    def test_mismatch_lines_divided_back(self, tmp_path, capsys, monkeypatch):
+        f = write(tmp_path, "0 1/2\n-1/2 0\n")
+        stats = SearchStats(0, 0, 0, 0)
+
+        def fake(a, cap):
+            assert a == ((0, 1), (-1, 0))
+            full = ScaledBasis([MpVector([0, -1]), MpVector([-3, 0])])
+            short = ScaledBasis([MpVector([0, -1])])
+            return {
+                "extremal": BasisResult(full, 0, True, stats),
+                "wang2020": BasisResult(short, 0, True, stats),
+                "dd": BasisResult(full, 0, True, stats),
+            }
+
+        monkeypatch.setattr(cli, "_three_bases", fake)
+        assert cli.main(["verify", f]) == 1
+        assert "  only extremal: -3/2 0\n" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_int_str_limit(self):
+        # The printed values have denominators of about 17,200 digits.
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def test_large_denominators(self, tmp_path, capsys, no_int_str_limit):
+        q0, q1, q2, q3 = (10**4299 + c for c in (1, 3, 7, 9))
+        a = MpMatrix.from_rows([
+            [NEG_INF, Fraction(5, q0), NEG_INF, Fraction(-1, q2)],
+            [NEG_INF, NEG_INF, Fraction(5, q2), NEG_INF],
+            [Fraction(-1, q3), NEG_INF, NEG_INF, Fraction(1, q1)],
+            [Fraction(-2, q0), 0, NEG_INF, NEG_INF],
+        ])
+        assert integer_scaled(a)[0].bit_length() > 57000
+        f = write(tmp_path, render_matrix(a))
+        for method in cli.METHODS:
+            want = library_output(a, "basis", method)
+            assert want[0]
+            assert self.run(capsys, ["basis", f, "--method", method]) == want
+        want = library_output(a, "generators", "wang2020")
+        assert self.run(capsys, ["generators", f, "--method", "wang2020"]) == want
+        for command in ("lambda", "cycles"):
+            assert self.run(capsys, [command, f]) == library_output(a, command)

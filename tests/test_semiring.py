@@ -1,5 +1,6 @@
 """Scalar and vector layer: semiring laws, residuation, span membership."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from maxplus import (
     unit,
     vector,
 )
+from maxplus.semiring import integer_scaled, unscaled
 from support import (
     brute_apply,
     brute_in_span,
@@ -33,6 +35,7 @@ from support import (
     brute_normalized,
     brute_scale,
     example_matrix,
+    fractional_matrix,
     naive_apply,
     rand_matrix,
     rand_vector,
@@ -519,3 +522,69 @@ class TestScalarText:
 
     def test_format_vector(self):
         assert format_vector(vector([0, NEG_INF, Fraction(1, 2)])) == "0 -inf 1/2"
+
+    @pytest.mark.parametrize(
+        "token",
+        ["0", "-0", "+5", "-7", "0042", "9" * 4300],
+        ids=["0", "-0", "+5", "-7", "0042", "4300-digits"],
+    )
+    def test_integer_tokens_parse_to_int(self, token):
+        got = parse_scalar(token)
+        assert type(got) is int
+        assert got == int(Fraction(token))
+
+    @pytest.mark.parametrize(
+        "token",
+        ["9" * 4301, "1/" + "7" * 4301, "x" * 5000],
+        ids=["digits", "denominator", "junk"],
+    )
+    def test_long_bad_token_quoted_by_prefix(self, token):
+        with pytest.raises(ValueError) as err:
+            parse_scalar(token)
+        message = str(err.value)
+        assert len(message) < 100
+        assert repr(token[:40])[:-1] in message
+        assert f"({len(token)} characters)" in message
+
+    def test_short_bad_token_quoted_whole(self):
+        with pytest.raises(ValueError, match=r"^bad scalar token '1/0'$"):
+            parse_scalar("1/0")
+
+
+class TestIntegerScaled:
+    def test_integer_matrix_is_returned_as_is(self):
+        a = rand_matrix(random.Random(5), 6)
+        k, b = integer_scaled(a)
+        assert k == 1
+        assert b is a
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fractional_matrix_scales_to_ints(self, seed):
+        a = fractional_matrix(random.Random(seed), 6, neg_inf_p=0.3)
+        k, b = integer_scaled(a)
+        dens = [e.denominator for row in a for e in row if isinstance(e, Fraction)]
+        assert dens and k == math.lcm(*dens) > 1
+        for row, scaled_row in zip(a, b):
+            for e, s in zip(row, scaled_row):
+                if e is NEG_INF:
+                    assert s is NEG_INF
+                else:
+                    assert type(s) is int and s == k * e
+                    assert unscaled(s, k) == e
+
+    def test_unscaled(self):
+        assert unscaled(NEG_INF, 6) is NEG_INF
+        assert unscaled(Fraction(1, 3), 1) == Fraction(1, 3)
+        got = unscaled(-12, 6)
+        assert type(got) is int and got == -2
+        assert unscaled(-9, 6) == Fraction(-3, 2)
+        assert unscaled(Fraction(7, 2), 6) == Fraction(7, 12)
+
+    @given(vectors(4))
+    def test_scaled_vectors_map_to_scaled_vectors(self, v):
+        if not v.is_proper:
+            return
+        k, m = integer_scaled(MpMatrix([v] * 4))
+        kx = m[0].scaled()
+        assert kx == MpVector(e if e is NEG_INF else k * e for e in v.scaled())
+        assert MpVector(unscaled(e, k) for e in kx) == v.scaled()
