@@ -38,10 +38,6 @@ class Cycle(NamedTuple):
     nodes: tuple[int, ...]
     weight: ExtReal
 
-    @property
-    def node_set(self) -> frozenset[int]:
-        return frozenset(self.nodes)
-
 
 class FeederPath(NamedTuple):
     """Elementary path whose only contact with a cycle is its final node.
@@ -250,7 +246,7 @@ def feeder_paths(
     each exactly once.  The walk keeps an explicit stack, so path length
     is not bounded by the interpreter's recursion limit.
     """
-    jset = cycle.node_set
+    jset = set(cycle.nodes)
     out: list[FeederPath] = []
 
     for end in cycle.nodes:

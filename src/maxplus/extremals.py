@@ -81,6 +81,8 @@ class TangentOracle:
     for its tails still missing.  An edge {u} -> k puts the closure of k
     inside that of u, so closures start only where a forward walk over such
     edges stops, and cover every node that reaches the start along them.
+    The covered set thus holds the tail u of every such edge whose head it
+    holds, so a walk from an uncovered node never meets a covered one.
     Callers guarantee v solves A (x) >= x and is scaled; verdicts are
     memoized.
     """
@@ -134,13 +136,10 @@ class TangentOracle:
             walk, r = {j}, j
             while True:
                 nxt = next((k for k in single.get(r, ()) if k not in walk), None)
-                if nxt is None or nxt in covered:
+                if nxt is None:
                     break
                 walk.add(nxt)
                 r = nxt
-            if nxt is not None:
-                covered |= walk
-                continue
             need = sizes.copy()
             closure, todo = {r}, [r]
             while todo:
@@ -210,7 +209,7 @@ def cycle_terminals(
         steps = 0
         while steps <= t - 2 and not row_satisfied(a, nodes[steps], v):
             node, nxt = nodes[steps], nodes[steps + 1]
-            w = a.entry(node, nxt)
+            w = a[node][nxt]
             if w is NEG_INF:
                 raise ValueError(
                     f"cycle arc {node} -> {nxt} is not an arc of the matrix"
@@ -248,7 +247,7 @@ def path_extremals(
     out: list[MpVector] = []
     for q in range(len(nodes) - 2, -1, -1):
         node = nodes[q]
-        if a.entry(node, node) >= 0:
+        if a[node][node] >= 0:
             break
         v = boundary_point(v, 0, unit(n, node), a.row_apply(node, v))
         if not oracle(v):

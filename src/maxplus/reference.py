@@ -89,10 +89,7 @@ class TwoSidedSystem:
     def supereigen(cls, a: MpMatrix) -> "TwoSidedSystem":
         """The system x <= A (x), one row per matrix row."""
         n = len(a)
-        return cls(n, tuple(SystemRow(unit(n, i), a.row(i)) for i in range(n)))
-
-    def satisfied_by(self, x: MpVector) -> bool:
-        return all(mp_dot(r.lower, x) <= mp_dot(r.upper, x) for r in self.rows)
+        return cls(n, tuple(SystemRow(unit(n, i), a[i]) for i in range(n)))
 
 
 class CycleStructure(NamedTuple):
@@ -135,7 +132,7 @@ def _cycle_generators(a: MpMatrix, cycle: Cycle) -> list[MpVector]:
         val: ExtReal = 0
         for s in range(t - 1):
             credit = cycle.weight if s == j else 0
-            val = val + credit - a.entry(nodes[s], nodes[s + 1])
+            val = val + credit - a[nodes[s]][nodes[s + 1]]
             entries[nodes[s + 1]] = val
         out.append(MpVector(entries))
     return out
@@ -159,7 +156,7 @@ def _path_generators(
     c = entries[end]
     out = []
     for p in range(len(path_nodes) - 2, -1, -1):
-        c = c + a.entry(path_nodes[p], path_nodes[p + 1])
+        c = c + a[path_nodes[p]][path_nodes[p + 1]]
         entries[path_nodes[p]] = c
         out.append(MpVector(entries))
     return out

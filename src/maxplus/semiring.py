@@ -7,17 +7,18 @@ singleton ``NEG_INF``.  Python's own ``max`` and ``+`` then act as the
 semiring operations directly, which keeps general code free of wrapper
 overhead.
 
-The hot vector operations (``MpVector.join``, ``scale``, ``normalized``,
-``mp_dot``, ``MpMatrix.apply``, ``row_apply`` and :func:`boundary_point`,
-the double description step) never hand ``NEG_INF`` to an operator: they
-test each entry with ``is NEG_INF`` and apply ``max``, ``+`` and ``-`` to
-finite entries only, which are then plain ``int`` and ``Fraction``
-arithmetic.  The results are the values and types the plain
+The hot vector operations (``MpVector.scale``, ``scaled``, ``mp_dot``,
+``row_apply``, :func:`boundary_point`, the double description step, and
+:func:`in_span` over a :class:`SpanIndex`) never hand ``NEG_INF`` to an
+operator: they test each entry with ``is NEG_INF`` and apply ``max``,
+``+`` and ``-`` to finite entries only, which are then plain ``int`` and
+``Fraction`` arithmetic.  The results are the values and types the plain
 operators give: a tie keeps the left (first) entry, as ``max`` does, and
 int/Fraction mixes follow Python's own rules.
 
-Vectors and square matrices are thin immutable tuple subclasses.  Dimension
-mismatches raise :class:`DimensionError`; normalizing the vector that is
+Vectors and square matrices are thin immutable tuple subclasses; index a
+matrix as ``a[i]`` for a row and ``a[i][j]`` for an entry.  Dimension
+mismatches raise :class:`DimensionError`; scaling the vector that is
 -inf in every coordinate raises :class:`ImproperVectorError`.
 """
 
@@ -129,47 +130,41 @@ class MpVector(tuple):
 
     __slots__ = ()
 
-    def join(self, other: "MpVector") -> "MpVector":
-        """Entrywise max of two vectors of equal dimension."""
-        if len(self) != len(other):
-            raise DimensionError(
-                f"join of vectors of dimension {len(self)} and {len(other)}"
-            )
-        return MpVector(
-            [
-                a if b is NEG_INF else b if a is NEG_INF or b > a else a
-                for a, b in zip(self, other)
-            ]
-        )
-
     def scale(self, c: ExtReal) -> "MpVector":
         """Add the scalar ``c`` to every entry (max-plus scalar multiple)."""
         if c is NEG_INF:
             return MpVector([NEG_INF] * len(self))
         return MpVector([e if e is NEG_INF else c + e for e in self])
 
-    def normalized(self) -> tuple[ExtReal, "MpVector"]:
-        """Split into (norm, scaled vector with largest entry 0).
+    def scaled(self) -> "MpVector":
+        """The unique scalar multiple with largest entry 0.
 
         Raises ImproperVectorError when every entry is -inf, since then no
-        scalar multiple has norm 0.
+        scalar multiple has largest entry 0.
         """
-        finite = [e for e in self if e is not NEG_INF]
-        if not finite:
-            raise ImproperVectorError("cannot normalize the all -inf vector")
-        m = max(finite)
-        if m == 0:
-            return 0, self
-        return m, MpVector([e if e is NEG_INF else e - m for e in self])
-
-    def scaled(self) -> "MpVector":
-        """The unique scalar multiple with largest entry 0."""
-        return self.normalized()[1]
+        z = _top_at_zero(self)
+        if z is None:
+            raise ImproperVectorError("cannot scale the all -inf vector")
+        return z
 
     @property
     def is_proper(self) -> bool:
         """True when at least one entry is finite."""
         return any(e is not NEG_INF for e in self)
+
+
+def _top_at_zero(z: list[ExtReal] | MpVector) -> MpVector | None:
+    """z shifted so that its largest entry is 0; None when all are -inf.
+
+    A vector whose largest entry is 0 already comes back as it is.
+    """
+    finite = [e for e in z if e is not NEG_INF]
+    if not finite:
+        return None
+    m = max(finite)
+    if m == 0:
+        return z if isinstance(z, MpVector) else MpVector(z)
+    return MpVector([e if e is NEG_INF else e - m for e in z])
 
 
 def vector(entries: Iterable[object]) -> MpVector:
@@ -218,21 +213,6 @@ class MpMatrix(tuple):
     def identity(cls, n: int) -> "MpMatrix":
         """Max-plus identity: 0 on the diagonal, -inf off it."""
         return cls(unit(n, i) for i in range(n))
-
-    def row(self, i: int) -> MpVector:
-        return self[i]
-
-    def entry(self, i: int, j: int) -> ExtReal:
-        return self[i][j]
-
-    def apply(self, x: MpVector) -> MpVector:
-        """Matrix-vector product A (x) with (max, +) in place of (+, *)."""
-        if len(x) != len(self):
-            raise DimensionError(
-                f"applying {len(self)}x{len(self)} matrix to vector of "
-                f"dimension {len(x)}"
-            )
-        return MpVector([mp_dot(row, x) for row in self])
 
     def row_apply(self, i: int, x: MpVector) -> ExtReal:
         """Single component of the product: max over j of a[i][j] + x[j]."""
@@ -288,13 +268,13 @@ def unscaled(x: ExtReal, k: int) -> ExtReal:
 def boundary_point(
     v: MpVector, lo_w: ExtReal, w: MpVector, up_v: ExtReal
 ) -> MpVector | None:
-    """``(v.scale(lo_w).join(w.scale(up_v))).scaled()`` in one pass.
+    """The scaled entrywise max of ``v.scale(lo_w)`` and ``w.scale(up_v)``.
 
     The double description step for a row lower (x) <= upper (x): v
     satisfies the row, with ``up_v`` = upper (v); w violates it, with
     ``lo_w`` = lower (w) finite.  The combination lands on the row's
     boundary.  None when it is the all -inf vector.  Ties keep the v side,
-    as ``join`` does.
+    as ``max`` does.
     """
     if len(v) != len(w):
         raise DimensionError(
@@ -311,13 +291,7 @@ def boundary_point(
             else (x if (x := lo_w + a) >= (y := up_v + b) else y)
             for a, b in zip(v, w)
         ]
-    finite = [e for e in z if e is not NEG_INF]
-    if not finite:
-        return None
-    m = max(finite)
-    if m == 0:
-        return MpVector(z)
-    return MpVector([e if e is NEG_INF else e - m for e in z])
+    return _top_at_zero(z)
 
 
 def residual(v: MpVector, w: MpVector) -> ExtReal:
@@ -386,15 +360,11 @@ class SpanIndex:
         self.masks.pop(w, None)
 
 
-def in_span(
-    v: MpVector,
-    gens: SpanIndex | Iterable[MpVector],
-    skip: MpVector | None = None,
-) -> bool:
+def in_span(v: MpVector, gens: SpanIndex, skip: MpVector | None = None) -> bool:
     """Whether v is a max-plus combination of the generators other than skip.
 
-    Pass a :class:`SpanIndex` to reuse the support masks across tests,
-    v's own included when v is in the index.
+    The generators come as a :class:`SpanIndex`, whose support masks are
+    reused across tests, v's own included when v is one of them.
     Only a generator w whose support lies inside the support of v can take
     part, with coefficient residual(v, w); since residual(v, w) + w <= v,
     v lies in the span iff every finite coordinate of v is reached exactly
@@ -403,16 +373,15 @@ def in_span(
     cover the support of v; otherwise the test stops as soon as every
     coordinate is reached.
     """
-    index = gens if isinstance(gens, SpanIndex) else SpanIndex(gens)
-    if index.dimension is not None and len(v) != index.dimension:
+    if gens.dimension is not None and len(v) != gens.dimension:
         raise DimensionError(
             f"vector of dimension {len(v)} against generators of "
-            f"dimension {index.dimension}"
+            f"dimension {gens.dimension}"
         )
-    todo = index.masks.get(v) or _support_mask(v)
+    todo = gens.masks.get(v) or _support_mask(v)
     outside = ~todo
     live = [
-        (w, m) for w, m in index.masks.items() if not m & outside and w != skip
+        (w, m) for w, m in gens.masks.items() if not m & outside and w != skip
     ]
     reach = 0
     for _, mask in live:
@@ -477,11 +446,13 @@ class ScaledBasis:
 # Every digit run is bounded at CPython's default int/str conversion limit.
 # The CLI lifts that limit while it runs a command, so there this bound
 # alone decides, whatever PYTHONINTMAXSTRDIGITS says.
+# re.ASCII keeps \d to 0-9: int() and Fraction() read other Unicode digits.
 _SCALAR_TOKEN = re.compile(
-    r"[-+]?(?:\d{1,4300}(?:/\d{1,4300})?|\d{0,4300}\.\d{1,4300}|\d{1,4300}\.)"
+    r"[-+]?(?:\d{1,4300}(?:/\d{1,4300})?|\d{0,4300}\.\d{1,4300}|\d{1,4300}\.)",
+    re.ASCII,
 )
 # Plain integers, the common token, skip Fraction.
-_INT_TOKEN = re.compile(r"[-+]?\d{1,4300}")
+_INT_TOKEN = re.compile(r"[-+]?\d{1,4300}", re.ASCII)
 
 
 def _quoted(token: str) -> str:

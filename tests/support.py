@@ -107,7 +107,7 @@ def brute_elementary_cycles(a: MpMatrix) -> list[tuple[int, ...]]:
 
     def dfs(start: int, node: int, path: list[int], onpath: set[int]) -> None:
         for j in range(n):
-            if a.entry(node, j) is NEG_INF:
+            if a[node][j] is NEG_INF:
                 continue
             if j == start:
                 found.append(tuple(path))
@@ -126,7 +126,7 @@ def brute_elementary_cycles(a: MpMatrix) -> list[tuple[int, ...]]:
 def brute_cycle_weight(a: MpMatrix, nodes: tuple[int, ...]) -> ExtReal:
     total: ExtReal = 0
     for k, u in enumerate(nodes):
-        total = total + a.entry(u, nodes[(k + 1) % len(nodes)])
+        total = total + a[u][nodes[(k + 1) % len(nodes)]]
     return total
 
 
@@ -146,7 +146,7 @@ def naive_apply(a: MpMatrix, x: MpVector) -> MpVector:
     for i in range(n):
         acc: ExtReal = NEG_INF
         for j in range(n):
-            aij = a.entry(i, j)
+            aij = a[i][j]
             if aij is NEG_INF or x[j] is NEG_INF:
                 continue
             term = aij + x[j]
@@ -175,7 +175,7 @@ def valid_feeder_path(
     if any(v in jset for v in path_nodes[:-1]):
         return False
     for u, v in zip(path_nodes, path_nodes[1:]):
-        if a.entry(u, v) is NEG_INF:
+        if a[u][v] is NEG_INF:
             return False
     blocked = jset | set(path_nodes)
     head = path_nodes[0]
@@ -190,7 +190,7 @@ def valid_feeder_path(
         while frontier and not reachable:
             u = frontier.pop()
             for v in range(n):
-                if a.entry(u, v) is NEG_INF:
+                if a[u][v] is NEG_INF:
                     continue
                 if v == head:
                     reachable = True
@@ -216,7 +216,7 @@ def brute_feeder_paths(
         for u in range(n):
             if u in jset or u in seq:
                 continue
-            if a.entry(u, head) is NEG_INF:
+            if a[u][head] is NEG_INF:
                 continue
             candidates.add((u, *seq))
             grow([u, *seq])
@@ -250,7 +250,7 @@ def combine_row(a: MpMatrix, i: int, x: MpVector, y: MpVector) -> MpVector:
     Returns  (y_i) (x)  join  (A_i (x)) (y).  When x satisfies row i, the
     result does too, whatever y is; the c6 lemma test checks this.
     """
-    return x.scale(y[i]).join(y.scale(a.row_apply(i, x)))
+    return brute_join(x.scale(y[i]), y.scale(a.row_apply(i, x)))
 
 
 def mk(rows) -> MpMatrix:
@@ -469,8 +469,8 @@ def brute_cycle_terminals(a: MpMatrix, cycle, oracle) -> dict:
         v = unit(n, nodes[0])
         steps = 0
         while steps <= t - 2 and not row_satisfied(a, nodes[steps], v):
-            w = a.entry(nodes[steps], nodes[steps + 1])
-            v = unit(n, nodes[steps + 1]).join(v.scale(w))
+            w = a[nodes[steps]][nodes[steps + 1]]
+            v = brute_join(unit(n, nodes[steps + 1]), v.scale(w))
             steps += 1
         scaled = v.scaled()
         runs[nodes[0]] = (steps, v, scaled, oracle(scaled))
@@ -485,9 +485,9 @@ def brute_path_extremals(a: MpMatrix, path, terminal: MpVector, oracle) -> tuple
     out, trace = [], []
     for q in range(len(nodes) - 2, -1, -1):
         node = nodes[q]
-        if a.entry(node, node) >= 0:
+        if a[node][node] >= 0:
             break
-        v = v.join(unit(n, node).scale(a.row_apply(node, v)))
+        v = brute_join(v, unit(n, node).scale(a.row_apply(node, v)))
         scaled = v.scaled()
         ok = oracle(scaled)
         trace.append((scaled, ok))
@@ -514,7 +514,7 @@ def brute_path_generators(a: MpMatrix, structure) -> list[MpVector]:
             val: ExtReal = 0
             for s in range(t - 1):
                 credit = cycle.weight if s == j else 0
-                val = val + credit - a.entry(nodes[s], nodes[s + 1])
+                val = val + credit - a[nodes[s]][nodes[s + 1]]
                 x = brute_join(x, brute_scale(unit(n, nodes[s + 1]), val))
             gens.append(x)
         out.extend(gens)
@@ -523,7 +523,7 @@ def brute_path_generators(a: MpMatrix, structure) -> list[MpVector]:
             x = gens[(nodes.index(p_nodes[-1]) - 1) % t]
             c = x[p_nodes[-1]]
             for p in range(len(p_nodes) - 2, -1, -1):
-                c = c + a.entry(p_nodes[p], p_nodes[p + 1])
+                c = c + a[p_nodes[p]][p_nodes[p + 1]]
                 x = brute_join(x, brute_scale(unit(n, p_nodes[p]), c))
                 out.append(x)
     return out

@@ -408,6 +408,25 @@ class TestExitCodes:
             done = run_module("maxplus", *args)
             assert (code, out.out, out.err) == (done.returncode, done.stdout, done.stderr)
 
+    @pytest.mark.parametrize(
+        "digit", ["\u0663", "\uff10"], ids=["arabic-indic", "fullwidth"]
+    )
+    @pytest.mark.parametrize("where", ["matrix", "vector", "lambda"])
+    def test_non_ascii_digits_rejected(self, tmp_path, capsys, where, digit):
+        # int() and Fraction() read these as 3 and 0; the grammar allows 0-9 only
+        f = tmp_path / "m.txt"
+        text = f"{digit} -inf\n-inf 0\n" if where == "matrix" else "0 -inf\n-inf 0\n"
+        f.write_text(text, encoding="utf-8")
+        argv = {
+            "matrix": ["basis", str(f)],
+            "vector": ["check", str(f), "--vector", f"0 {digit}"],
+            "lambda": ["basis", str(f), "--lambda", digit],
+        }[where]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and repr(digit) in out.err
+
     def test_exponent_tokens_rejected_quickly(self, example_file, tmp_path):
         # Fraction would expand 1e999999999 into a billion-digit integer.
         huge = write(tmp_path, "1e999999999\n", name="huge.txt")
@@ -673,6 +692,26 @@ class TestIntegerRescale:
         monkeypatch.setattr(cli, "_three_bases", fake)
         assert cli.main(["verify", f]) == 1
         assert "  only extremal: -3/2 0\n" in capsys.readouterr().err
+
+    def test_mismatch_lines_of_the_second_route(self, tmp_path, capsys, monkeypatch):
+        f = write(tmp_path, "0 1/2\n-1/2 0\n")
+        stats = SearchStats(0, 0, 0, 0)
+
+        def fake(a, cap):
+            short = ScaledBasis([MpVector([0, -1])])
+            full = ScaledBasis([MpVector([0, -1]), MpVector([-3, 0])])
+            return {
+                "extremal": BasisResult(short, 0, True, stats),
+                "wang2020": BasisResult(full, 0, True, stats),
+                "dd": BasisResult(short, 0, True, stats),
+            }
+
+        monkeypatch.setattr(cli, "_three_bases", fake)
+        assert cli.main(["verify", f]) == 1
+        assert capsys.readouterr().err == (
+            "MISMATCH: extremal found 1 vectors, wang2020 found 2\n"
+            "  only wang2020: -3/2 0\n"
+        )
 
     @pytest.fixture
     def no_int_str_limit(self):

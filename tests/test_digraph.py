@@ -134,7 +134,7 @@ class TestRotations:
             (3, 0, 1, 2),
         ]
         assert all(r.weight == 5 for r in rots)
-        assert all(r.node_set == c.node_set for r in rots)
+        assert all(set(r.nodes) == set(c.nodes) for r in rots)
 
     def test_loop_has_one(self):
         assert [r.nodes for r in rotations(Cycle((2,), 1))] == [(2,)]

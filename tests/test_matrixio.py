@@ -28,9 +28,9 @@ class TestParseMatrix:
     def test_worked_example(self):
         doc = parse_matrix(EXAMPLE_TEXT)
         assert len(doc.matrix) == 5
-        assert doc.matrix.entry(0, 0) == -3
-        assert doc.matrix.entry(2, 3) == 2
-        assert doc.matrix.entry(4, 4) is NEG_INF
+        assert doc.matrix[0][0] == -3
+        assert doc.matrix[2][3] == 2
+        assert doc.matrix[4][4] is NEG_INF
 
     def test_single_entry(self):
         assert parse_matrix("0\n").matrix == mk([[0]])
@@ -38,9 +38,9 @@ class TestParseMatrix:
 
     def test_fractions_and_decimals(self):
         doc = parse_matrix("1/2 -0.25\n3 -inf\n")
-        assert doc.matrix.entry(0, 0) == Fraction(1, 2)
-        assert doc.matrix.entry(0, 1) == Fraction(-1, 4)
-        assert isinstance(doc.matrix.entry(1, 0), int)
+        assert doc.matrix[0][0] == Fraction(1, 2)
+        assert doc.matrix[0][1] == Fraction(-1, 4)
+        assert isinstance(doc.matrix[1][0], int)
 
     def test_trailing_blank_lines_ok(self):
         assert len(parse_matrix("0 1\n2 3\n\n\n").matrix) == 2
@@ -71,7 +71,7 @@ class TestParseMatrix:
 
     def test_float_like_tokens_are_exact(self):
         m = parse_matrix("0.1\n").matrix
-        assert m.entry(0, 0) == Fraction(1, 10)
+        assert m[0][0] == Fraction(1, 10)
 
 
 class TestRenderMatrix:

@@ -28,7 +28,6 @@ from maxplus import (
     double_description,
     extremal_basis,
     extremal_filter,
-    in_span,
     in_supereig,
     mp_dot,
     unit,
@@ -39,6 +38,8 @@ from support import (
     block_triangular,
     brute_double_description,
     brute_in_span,
+    brute_join,
+    brute_mp_dot,
     brute_normalized,
     brute_path_generators,
     chain_into_loop,
@@ -56,6 +57,13 @@ from support import (
 def brute_extremal(v, scaled):
     """Not in the span of the other scaled generators, by the principal solution."""
     return not brute_in_span(v, [w for w in scaled if w != v])
+
+
+def satisfies(system, x):
+    """Whether x satisfies every row, by the brute-force inner product."""
+    return all(
+        brute_mp_dot(r.lower, x) <= brute_mp_dot(r.upper, x) for r in system.rows
+    )
 
 
 def brute_filter(vectors):
@@ -159,9 +167,9 @@ class TestCyclePathGenerators:
             gens = cycle_path_generators(a)
             scaled = list(gens.scaled_set())
             for b in basis:
-                assert in_span(b, scaled)
+                assert brute_in_span(b, scaled)
             for g in scaled:
-                assert in_span(g, list(basis))
+                assert brute_in_span(g, basis)
 
 
 class TestTwoSidedSystem:
@@ -169,10 +177,10 @@ class TestTwoSidedSystem:
         a = example_matrix()
         sys5 = TwoSidedSystem.supereigen(a)
         assert sys5.dimension == 5
-        assert sys5.rows[2] == SystemRow(unit(5, 2), a.row(2))
+        assert sys5.rows[2] == SystemRow(unit(5, 2), a[2])
         for b in example_basis_vectors():
-            assert sys5.satisfied_by(b)
-        assert not sys5.satisfied_by(unit(5, 0))
+            assert satisfies(sys5, b)
+        assert not satisfies(sys5, unit(5, 0))
 
     def test_row_dimension_check(self):
         with pytest.raises(ValueError):
@@ -199,7 +207,7 @@ class TestDoubleDescription:
             a = rand_matrix(rng, rng.randint(1, 5))
             system = TwoSidedSystem.supereigen(a)
             for v in double_description(system).vectors:
-                assert system.satisfied_by(v)
+                assert satisfies(system, v)
                 assert max(v) == 0
 
     def test_worked_example_spans_basis(self):
@@ -207,7 +215,7 @@ class TestDoubleDescription:
         dd = double_description(TwoSidedSystem.supereigen(a))
         assert len(dd.vectors) == 23
         for b in example_basis_vectors():
-            assert in_span(b, list(dd.vectors))
+            assert brute_in_span(b, dd.vectors)
 
     def test_complete_on_small_grids(self):
         # every grid vector solving the system must lie in the span
@@ -222,7 +230,7 @@ class TestDoubleDescription:
                 if not x.is_proper:
                     continue
                 member = in_supereig(a, x)
-                assert member == in_span(x.scaled(), gens), (a, x)
+                assert member == brute_in_span(x.scaled(), gens), (a, x)
 
     def test_general_system_not_just_supereigen(self):
         # one row comparing two coordinates: x1 <= x2 within dimension 2
@@ -337,7 +345,7 @@ class TestExtremalFilter:
         # v = u1 join (-1)u2 shares its support with both and sorts before
         # u2, so u2 must be in the index when v is tested
         u1, u2 = vector([-3, 0]), vector([0, -3])
-        v = u1.join(u2.scale(-1))
+        v = brute_join(u1, u2.scale(-1))
         assert u1 < v < u2
         for vs in itertools.permutations([v, u1, u2]):
             assert list(extremal_filter(vs)) == [u1, u2]
@@ -400,7 +408,7 @@ class TestSpanOracle:
         # any other join is non-extremal
         for x in members:
             for y in members:
-                j = x.join(y).scaled()
+                j = brute_join(x, y).scaled()
                 if j != x and j != y:
                     assert not oracle(j)
 
@@ -429,7 +437,7 @@ class TestSpanOracle:
         scaled = cycle_path_generators(a).scaled_set()
         oracle = SpanOracle(a)
         probes = list(scaled)
-        probes += [x.join(y) for x, y in itertools.combinations(scaled[:8], 2)]
+        probes += [brute_join(x, y) for x, y in itertools.combinations(scaled[:8], 2)]
         for v in probes:
             assert oracle(v) == brute_extremal(v, scaled), (a, v)
 
