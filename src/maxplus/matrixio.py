@@ -1,9 +1,9 @@
 """Delimited text format for square max-plus matrices.
 
 A document is n nonempty lines of n whitespace-separated tokens.  Tokens
-are ``-inf``, integers, fractions ``p/q``, or decimals; decimals convert
-exactly (``2.5`` reads as 5/2).  Errors carry 1-based line and column
-positions.
+are ``-inf`` (also ``-Inf`` or ``-INF``), integers, fractions ``p/q``, or
+decimals; decimals convert exactly (``2.5`` reads as 5/2).  Errors carry
+1-based line and column positions.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ def parse_matrix(text: str) -> MatrixDocument:
         raise MatrixParseError("empty input, expected a square matrix")
     for li, line in enumerate(lines, start=1):
         if not line.strip():
-            raise MatrixParseError("blank line inside matrix", line=li)
+            where = "before the matrix" if li == 1 else "inside matrix"
+            raise MatrixParseError(f"blank line {where}", line=li)
     n = len(lines)
     rows = []
     for li, line in enumerate(lines, start=1):

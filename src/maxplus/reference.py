@@ -44,7 +44,6 @@ from .semiring import (
     SpanIndex,
     boundary_point,
     in_span,
-    mp_dot,
     unit,
 )
 
@@ -194,23 +193,30 @@ def double_description(
 
     Maintains generators of the cone cut out by the rows seen so far,
     beginning with the unit vectors (no rows).  For each row, satisfiers
-    survive as they are; each satisfier/violator pair contributes its
+    survive as they are; each violator w is paired with every satisfier v
+    whose upper_k (v) is finite, and the pair contributes its
     :func:`boundary_point`  (lower_k (w)) (v)  join  (upper_k (v)) (w),
-    which lands exactly on the row's boundary of feasibility.  Generators
-    are kept in scaled deduplicated form after every row.
+    which lands exactly on the row's boundary of feasibility.  A satisfier
+    with upper_k (v) = -inf has lower_k (v) = -inf too, so its boundary
+    point with any violator is a multiple of v itself: it is carried
+    over unpaired.  Generators are kept in scaled deduplicated form after
+    every row.
 
-    ``max_pairs`` caps the satisfier/violator pairs summed over the rows;
-    a row that would pass it raises CycleLimitError before any of its
-    pairs is formed.
+    ``max_pairs`` caps the satisfier/violator pairs summed over the rows,
+    the unpaired satisfiers included; a row that would pass it raises
+    CycleLimitError before any of its pairs is formed.
     """
     d = system.dimension
     current: list[MpVector] = sorted(unit(d, i) for i in range(d))
     pairs = 0
     for row in system.rows:
+        lower, upper = (
+            [(j, a) for j, a in enumerate(side) if a is not NEG_INF] for side in row
+        )
         sat: list[tuple[MpVector, ExtReal]] = []
         vio: list[tuple[MpVector, ExtReal]] = []
         for v in current:
-            lo, up = mp_dot(row.lower, v), mp_dot(row.upper, v)
+            lo, up = _sparse_dot(lower, v), _sparse_dot(upper, v)
             if lo is NEG_INF or (up is not NEG_INF and lo <= up):
                 sat.append((v, up))
             else:
@@ -225,12 +231,29 @@ def double_description(
         # two equal vectors (say 1 and Fraction(1)) the set keeps.
         new = {v for v, _ in sat}
         for v, up_v in sat:
+            if up_v is NEG_INF:
+                continue
             for w, lo_w in vio:
-                z = boundary_point(v, lo_w, w, up_v)
-                if z is not None:
-                    new.add(z)
+                new.add(boundary_point(v, lo_w, w, up_v))
         current = sorted(new)
     return GeneratorSet(tuple(current))
+
+
+def _sparse_dot(entries: list[tuple[int, ExtReal]], x: MpVector) -> ExtReal:
+    """:func:`maxplus.semiring.mp_dot` of a row with x, the row given by
+    its finite (j, row[j]) in ascending j.
+
+    The first largest sum in ascending j wins, as ``max`` picks it, so the
+    value and its type (1 or Fraction(1)) are those of ``mp_dot``.
+    """
+    best: ExtReal = NEG_INF
+    for j, a in entries:
+        b = x[j]
+        if b is not NEG_INF:
+            s = a + b
+            if best is NEG_INF or s > best:
+                best = s
+    return best
 
 
 def extremal_filter(gens: Iterable[MpVector]) -> ScaledBasis:

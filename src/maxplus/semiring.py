@@ -472,7 +472,8 @@ def format_scalar(x: ExtReal) -> str:
 def parse_scalar(token: str) -> ExtReal:
     """Parse '-inf', integer, fraction 'p/q', or exact decimal tokens.
 
-    Decimals are converted exactly: '2.5' becomes 5/2, never a float.
+    '-Inf' and '-INF' read as '-inf' too; no other spelling of infinity
+    does.  Decimals are converted exactly: '2.5' becomes 5/2, never a float.
     Raises ValueError on anything else, exponent notation included: a
     token like '1e999999999' would make Fraction build a huge power of ten.
     A run of more than 4,300 digits is rejected too.  The error message

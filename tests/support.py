@@ -266,7 +266,8 @@ def chain_into_loop(n: int, rng: random.Random | None = None) -> MpMatrix:
     """A path 1 -> 2 -> ... -> n feeding a self-loop of weight 0 at n.
 
     Arc weights come from ``rng`` when given, else from a fixed pattern.
-    Its basis has n vectors, but double description grows about as n^4.
+    Its basis has n vectors, but double description counts about n^3/6
+    satisfier/violator pairs on it, of which it forms n(n-1)/2.
     """
     rows: list[list[ExtReal]] = [[NEG_INF] * n for _ in range(n)]
     for i in range(n - 1):
@@ -417,22 +418,24 @@ def brute_apply(a: MpMatrix, x: MpVector) -> MpVector:
     return MpVector(max(p + q for p, q in zip(row, x)) for row in a)
 
 
-def brute_double_description(rows) -> tuple[tuple[MpVector, ...], int]:
+def _brute_dd(rows) -> tuple[tuple[MpVector, ...], int, int]:
     """Double description as first written, on (lower, upper) row pairs.
 
-    Returns the final generators and the satisfier/violator pairs formed
-    over all rows.
+    Returns the final generators, the satisfier/violator pairs formed over
+    all rows, and how many of those pairs have a satisfier whose upper
+    side is finite.
     """
     d = len(rows[0][0])
     current = sorted(
         MpVector(0 if j == i else NEG_INF for j in range(d)) for i in range(d)
     )
-    pairs = 0
+    pairs = finite_upper = 0
     for lower, upper in rows:
         scored = [(v, brute_mp_dot(lower, v), brute_mp_dot(upper, v)) for v in current]
         sat = [(v, lo, up) for (v, lo, up) in scored if lo <= up]
         vio = [(w, lo) for (w, lo, up) in scored if lo > up]
         pairs += len(sat) * len(vio)
+        finite_upper += sum(up is not NEG_INF for (_, _, up) in sat) * len(vio)
         new = [v for (v, _, _) in sat]
         for v, _, up_v in sat:
             for w, lo_w in vio:
@@ -440,7 +443,24 @@ def brute_double_description(rows) -> tuple[tuple[MpVector, ...], int]:
                 if any(e is not NEG_INF for e in z):
                     new.append(z)
         current = sorted({brute_normalized(z)[1] for z in new})
-    return tuple(current), pairs
+    return tuple(current), pairs, finite_upper
+
+
+def brute_double_description(rows) -> tuple[tuple[MpVector, ...], int]:
+    """Double description as first written, on (lower, upper) row pairs.
+
+    Returns the final generators and the satisfier/violator pairs formed
+    over all rows.
+    """
+    current, pairs, _ = _brute_dd(rows)
+    return current, pairs
+
+
+def brute_finite_upper_pairs(rows) -> int:
+    """The pairs of :func:`brute_double_description` whose satisfier has a
+    finite upper side: the only pairs whose boundary point can be new.
+    """
+    return _brute_dd(rows)[2]
 
 
 def recording(oracle, steps: list):

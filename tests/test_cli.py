@@ -438,6 +438,36 @@ class TestExitCodes:
             assert done.returncode == 2
             assert done.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("spelling", ["-inf", "-Inf", "-INF"])
+    def test_neg_inf_spellings(self, example_file, tmp_path, capsys, spelling):
+        f = write(tmp_path, f"{spelling} 0\n{spelling} 2\n")
+        assert cli.main(["basis", f]) == 0
+        assert capsys.readouterr().out == "-inf 0\n0 0\n"
+        vec = f"0 -1 {spelling} {spelling} {spelling}"
+        assert cli.main(["check", example_file, "--vector", vec]) == 0
+        assert capsys.readouterr().out == "member: yes\nextremal: yes\n"
+
+    @pytest.mark.parametrize("spelling", ["-iNf", "inf", "+inf"])
+    @pytest.mark.parametrize("where", ["matrix", "vector"])
+    def test_other_inf_spellings_rejected(self, tmp_path, capsys, where, spelling):
+        text = f"{spelling} 0\n0 0\n" if where == "matrix" else "-inf 0\n0 0\n"
+        f = write(tmp_path, text)
+        argv = {
+            "matrix": ["basis", f],
+            "vector": ["check", f, "--vector", f"0 {spelling}"],
+        }[where]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and repr(spelling) in out.err
+
+    def test_leading_blank_line(self, tmp_path, capsys):
+        f = write(tmp_path, "\n0 1\n2 3\n")
+        assert cli.main(["basis", f]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: line 1: blank line before the matrix\n"
+
 
 def times_w(k: int) -> str:
     """Decimal digits of k * (10**4300 - 1) for 1 <= k <= 9.

@@ -62,6 +62,15 @@ class TestParseMatrix:
         with pytest.raises(MatrixParseError) as err:
             parse_matrix("1 2 3\n\n4 5 6\n7 8 9\n")
         assert err.value.line == 2
+        assert "blank line inside matrix" in str(err.value)
+
+    def test_blank_line_before(self):
+        # trailing blank lines are dropped; leading ones are an error
+        for text in ("\n0 1\n2 3\n", " \t\n\n0 1\n2 3\n\n"):
+            with pytest.raises(MatrixParseError) as err:
+                parse_matrix(text)
+            assert err.value.line == 1
+            assert str(err.value) == "line 1: blank line before the matrix"
 
     def test_empty_input(self):
         with pytest.raises(MatrixParseError):

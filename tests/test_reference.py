@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxplus import semiring
+from maxplus import reference, semiring
 from maxplus import (
     NEG_INF,
     Cycle,
@@ -37,6 +37,7 @@ from support import (
     NI,
     block_triangular,
     brute_double_description,
+    brute_finite_upper_pairs,
     brute_in_span,
     brute_join,
     brute_mp_dot,
@@ -307,6 +308,44 @@ class TestDoubleDescriptionCap:
         system = TwoSidedSystem.supereigen(chain_into_loop(120))
         with pytest.raises(CycleLimitError):
             double_description(system, 10_000)
+
+
+def boundary_point_calls(system) -> int:
+    """How many boundary points ``double_description`` forms on the system."""
+    calls = []
+    step = reference.boundary_point
+
+    def counting(*args):
+        calls.append(args)
+        return step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "boundary_point", counting)
+        double_description(system, None)
+    return len(calls)
+
+
+class TestDoubleDescriptionWork:
+    """A satisfier with upper side -inf is carried over, never paired."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_systems())
+    def test_one_step_per_finite_upper_pair(self, system):
+        want = brute_finite_upper_pairs(system.rows)
+        assert boundary_point_calls(system) == want
+
+    def test_chain_skips_pairs(self):
+        system = TwoSidedSystem.supereigen(chain_into_loop(12))
+        _, pairs = brute_double_description(system.rows)
+        calls = boundary_point_calls(system)
+        assert calls == brute_finite_upper_pairs(system.rows)
+        assert calls < pairs
+
+    def test_long_chain_matches_the_search(self):
+        a = chain_into_loop(120)
+        got = double_description(TwoSidedSystem.supereigen(a)).vectors
+        assert len(got) == 120
+        assert set(got) == set(extremal_basis(a).basis.vectors)
 
 
 class TestExtremalFilter:
