@@ -17,7 +17,12 @@ vectors.  The search walks the matrix digraph:
 
 The first two grow a candidate by the double description step,
 :func:`maxplus.semiring.boundary_point`, the one ``dd`` uses: each step
-lands the vector on the boundary of one row, already scaled.
+lands the vector on the boundary of one row, already scaled.  One search
+forms each step once: its calls share a memo keyed by the identity of the
+vector a step starts from, and rotations start from the shared unit
+vectors, so a step reached again by another rotation or feeder path is
+looked up.  Each memo value holds its start vector, so no key's id is
+reused while the search runs.
 
 Extremality of each candidate is decided by an oracle predicate on scaled
 vectors; the default, :class:`TangentOracle`, decides it locally from A
@@ -182,7 +187,7 @@ class RotationRun:
 
 
 def cycle_terminals(
-    a: MpMatrix, cycle: Cycle, oracle: Oracle
+    a: MpMatrix, cycle: Cycle, oracle: Oracle, *, steps: dict | None = None
 ) -> dict[int, RotationRun]:
     """Grow a solution along every rotation of a nonnegative cycle.
 
@@ -197,31 +202,52 @@ def cycle_terminals(
     check succeeded early, or all t-1 steps ran and the cycle's
     nonnegative weight closes the final row.  Returns the run of each
     rotation by its start node, in rotation order.
+
+    ``steps`` is the step memo of one search (see :func:`extremal_basis`),
+    keyed ``(id(v), j_p, j_{p+1})`` with value ``(v, grown)``, ``grown``
+    None when row j_p already holds at v; None means a fresh memo for
+    this call.  Every rotation starts from the shared unit vector, so
+    rotations that share a prefix form its steps once.
     """
     if cycle.weight < 0:
         raise ValueError("cycle must have nonnegative weight")
+    if steps is None:
+        steps = {}
     n = len(a)
     runs: dict[int, RotationRun] = {}
     for rot in rotations(cycle):
         nodes = rot.nodes
-        t = len(nodes)
         v = unit(n, nodes[0])
-        steps = 0
-        while steps <= t - 2 and not row_satisfied(a, nodes[steps], v):
-            node, nxt = nodes[steps], nodes[steps + 1]
-            w = a[node][nxt]
-            if w is NEG_INF:
-                raise ValueError(
-                    f"cycle arc {node} -> {nxt} is not an arc of the matrix"
-                )
-            v = boundary_point(unit(n, nxt), v[node], v, w)
-            steps += 1
-        runs[nodes[0]] = RotationRun(steps, v, oracle(v))
+        taken = 0
+        for node, nxt in zip(nodes, nodes[1:]):
+            key = (id(v), node, nxt)
+            hit = steps.get(key)
+            if hit is None:
+                grown = None
+                if not row_satisfied(a, node, v):
+                    w = a[node][nxt]
+                    if w is NEG_INF:
+                        raise ValueError(
+                            f"cycle arc {node} -> {nxt} is not an arc of "
+                            "the matrix"
+                        )
+                    grown = boundary_point(unit(n, nxt), v[node], v, w)
+                hit = steps[key] = (v, grown)
+            if hit[1] is None:
+                break
+            v = hit[1]
+            taken += 1
+        runs[nodes[0]] = RotationRun(taken, v, oracle(v))
     return runs
 
 
 def path_extremals(
-    a: MpMatrix, path: FeederPath, terminal: MpVector, oracle: Oracle
+    a: MpMatrix,
+    path: FeederPath,
+    terminal: MpVector,
+    oracle: Oracle,
+    *,
+    steps: dict | None = None,
 ) -> list[MpVector]:
     """Extend an extremal cycle candidate backward along a feeder path.
 
@@ -238,18 +264,31 @@ def path_extremals(
 
     ``terminal`` is the grown vector of the rotation anchored at the
     path's endnode; any scalar multiple gives the same emissions.
+
+    ``steps`` is the step memo of one search (see :func:`extremal_basis`),
+    keyed ``(id(v), l)`` with value ``(v, grown)``; None means a fresh
+    memo for this call.  Feeder paths that share a suffix from the same
+    terminal form its steps once; the oracle still sees every emission.
     """
     nodes = path.nodes
     if len(nodes) < 2:
         raise ValueError("feeder path needs at least two nodes")
+    if steps is None:
+        steps = {}
     n = len(a)
     v = terminal
     out: list[MpVector] = []
     for q in range(len(nodes) - 2, -1, -1):
         node = nodes[q]
-        if a[node][node] >= 0:
+        loop = a[node][node]
+        if loop is not NEG_INF and loop >= 0:
             break
-        v = boundary_point(v, 0, unit(n, node), a.row_apply(node, v))
+        key = (id(v), node)
+        hit = steps.get(key)
+        if hit is None:
+            grown = boundary_point(v, 0, unit(n, node), a.row_apply(node, v))
+            hit = steps[key] = (v, grown)
+        v = hit[1]
         if not oracle(v):
             break
         out.append(v)
@@ -300,6 +339,9 @@ def extremal_basis(
     :func:`maxplus.reference.cycle_structure` on the digraph Karp reads.
     The default oracle is a :class:`TangentOracle`, which reads only A and
     the candidate.  Cycles are searched one after another, in cycle order.
+    Every :func:`cycle_terminals` and :func:`path_extremals` call of one
+    search shares one step memo, so each growth step is formed once; the
+    oracle is still asked about every candidate, in the same order.
     """
     d = Digraph.from_matrix(a)
     lam = max_cycle_mean(d)
@@ -309,14 +351,17 @@ def extremal_basis(
     structure = cycle_structure(d, max_cycles)
     if oracle is None:
         oracle = TangentOracle(a)
+    steps: dict = {}
     pool: list[MpVector] = []
     for cycle, paths in zip(structure.cycles, structure.paths):
-        runs = cycle_terminals(a, cycle, oracle)
+        runs = cycle_terminals(a, cycle, oracle, steps=steps)
         pool.extend(r.scaled for r in runs.values() if r.extremal)
         for path in paths:
             run = runs[path.end]
             if run.extremal:
-                pool.extend(path_extremals(a, path, run.scaled, oracle))
+                pool.extend(
+                    path_extremals(a, path, run.scaled, oracle, steps=steps)
+                )
     basis = ScaledBasis(pool)
     stats = SearchStats(
         cycles=len(structure.cycles),

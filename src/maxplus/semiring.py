@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Iterable, Union
 
@@ -172,8 +173,13 @@ def vector(entries: Iterable[object]) -> MpVector:
     return MpVector(as_scalar(e) for e in entries)
 
 
+@cache
 def unit(n: int, i: int) -> MpVector:
-    """The i-th max-plus unit vector: 0 at position i, -inf elsewhere."""
+    """The i-th max-plus unit vector: 0 at position i, -inf elsewhere.
+
+    Memoized: every call with the same (n, i) returns the same immutable
+    object, so searches keyed by vector identity share it.
+    """
     if not 0 <= i < n:
         raise DimensionError(f"unit index {i} out of range for dimension {n}")
     return MpVector(0 if j == i else NEG_INF for j in range(n))

@@ -1,6 +1,7 @@
 """Search layer: row membership, cycle growth, path extension, full basis."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,8 @@ from maxplus import (
     Digraph,
     FeederPath,
     MpMatrix,
+    ScaledBasis,
+    SearchStats,
     SpanOracle,
     TangentOracle,
     always_extremal,
@@ -29,7 +32,7 @@ from maxplus import (
     unit,
     vector,
 )
-from maxplus import cli, reference
+from maxplus import cli, extremals, reference
 from support import (
     EXAMPLE_BASIS_TEXT,
     EXAMPLE_TEXT,
@@ -397,6 +400,106 @@ class TestGeneratorEnumeration:
             for g in gens:
                 assert in_supereig(a, g)
                 assert brute_in_span(g, basis)
+
+
+# A value-keyed step memo changed entry types in generator_enumeration's
+# output on this matrix: Fraction(0) and 0 are equal keys.
+FRACTION_7 = """\
+-inf -5 0 2 -1/3 -inf 5
+-inf -inf -9 -1/2 -7 -inf -inf
+-inf 2 1 -inf 9 0 4
+-inf 5/3 -inf -inf -inf -inf 1
+1/2 -inf -inf 0 -inf -inf 1
+-inf -1 6 -inf -inf -2 2
+-inf 3 -inf -9 -4 -8 -inf
+"""
+
+
+def fraction_7() -> MpMatrix:
+    """FRACTION_7 with every finite entry a Fraction, integral ones too."""
+    return MpMatrix.from_rows(
+        [NI if t == "-inf" else Fraction(t) for t in line.split()]
+        for line in FRACTION_7.splitlines()
+    )
+
+
+def memo_free_search(a, oracle, max_cycles):
+    """extremal_basis's loop with each growth call on a fresh step memo."""
+    structure = cycle_structure(Digraph.from_matrix(a), max_cycles)
+    pool = []
+    for cycle, paths in zip(structure.cycles, structure.paths):
+        runs = cycle_terminals(a, cycle, oracle)
+        pool.extend(r.scaled for r in runs.values() if r.extremal)
+        for path in paths:
+            run = runs[path.end]
+            if run.extremal:
+                pool.extend(path_extremals(a, path, run.scaled, oracle))
+    basis = ScaledBasis(pool)
+    stats = SearchStats(
+        len(structure.cycles),
+        sum(map(len, structure.paths)),
+        len(pool),
+        len(pool) - len(basis),
+    )
+    return basis, stats
+
+
+def typed(basis):
+    return [[(type(e), e) for e in v] for v in basis]
+
+
+class TestSharedSteps:
+    """One search forms each growth step once and finds the same basis."""
+
+    @pytest.mark.parametrize("kind", ["extremal", "enumeration"])
+    def test_matches_memo_free_search(self, kind):
+        searched = 0
+        for a in growth_cases() + [fraction_7()]:
+            if kind == "extremal":
+                search, oracle = extremal_basis, TangentOracle(a)
+            else:
+                search, oracle = generator_enumeration, always_extremal
+            got = search(a, max_cycles=2000)
+            if not got.solvable:
+                assert got.stats == SearchStats(0, 0, 0, 0)
+                continue
+            want, stats = memo_free_search(a, oracle, 2000)
+            assert got.basis == want
+            assert got.stats == stats
+            assert typed(got.basis) == typed(want)
+            searched += 1
+        assert searched > 50
+
+    @staticmethod
+    def boundary_points(monkeypatch, a):
+        """Boundary points formed by the search and by the memo-free loop."""
+        formed = [0]
+        step = extremals.boundary_point
+
+        def counted(*args):
+            formed[0] += 1
+            return step(*args)
+
+        monkeypatch.setattr(extremals, "boundary_point", counted)
+        shared = extremal_basis(a)
+        shared_count, formed[0] = formed[0], 0
+        basis, stats = memo_free_search(a, TangentOracle(a), None)
+        assert (shared.basis, shared.stats) == (basis, stats)
+        return shared_count, formed[0]
+
+    def test_example_forms_fewer_boundary_points(self, monkeypatch):
+        shared, free = self.boundary_points(monkeypatch, example_matrix())
+        assert free == 56
+        assert shared < free
+
+    def test_random_forms_under_a_fifth(self, monkeypatch):
+        a = rand_matrix(random.Random(9), 11, neg_inf_p=0.7)
+        shared, free = self.boundary_points(monkeypatch, a)
+        assert shared * 5 < free
+
+    def test_units_are_shared(self):
+        assert unit(6, 2) is unit(6, 2)
+        assert unit(6, 2) == vector([NI, NI, 0, NI, NI, NI])
 
 
 class TestIsExtremal:
