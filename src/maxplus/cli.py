@@ -51,6 +51,7 @@ from .semiring import (
     NEG_INF,
     MpMatrix,
     MpVector,
+    ScaledBasis,
     format_scalar,
     format_vector,
     integer_scaled,
@@ -82,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_MAX_CYCLES,
             metavar="K",
             help="abort (exit 3) past K enumerated cycles, K feeder paths "
-            "of one cycle, or K dd satisfier/violator pairs [%(default)s]",
+            "of one cycle, or K dd boundary points formed [%(default)s]",
         )
         if method:
             p.add_argument(
@@ -159,8 +160,8 @@ def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
             duplicates=len(gens.vectors) - len(scaled),
         )
     else:
-        gens = double_description(TwoSidedSystem.supereigen(a), cap)
-        basis = extremal_filter(gens)
+        gens = double_description(TwoSidedSystem.supereigen(a), cap, prune=True)
+        basis = ScaledBasis(gens.vectors)
         stats = SearchStats(0, 0, len(gens.vectors), 0)
     return BasisResult(basis, lam, lam >= 0, stats)
 

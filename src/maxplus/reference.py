@@ -11,11 +11,14 @@ of A (x) >= x, used to cross-check the extremal search:
   general two-sided system lower (x) <= upper (x), starting from the unit
   vectors and combining satisfier/violator pairs row by row with
   :func:`maxplus.semiring.boundary_point`, the step the search grows its
-  candidates with.
+  candidates with.  Pruned, it keeps only the extremals of each partial
+  cone, decided by span tests (:func:`maxplus.semiring.in_span`), and so
+  returns the scaled basis itself.
 
-Both return generating sets that usually contain redundant vectors;
-:func:`extremal_filter` reduces any generating set to the scaled extremals,
-which form the unique scaled basis of the generated subsemimodule.
+Unpruned, both return generating sets that usually contain redundant
+vectors; :func:`extremal_filter` reduces any generating set to the scaled
+extremals, which form the unique scaled basis of the generated
+subsemimodule.
 ``check`` decides extremality with :class:`SpanOracle`, a span test
 against the closed-form set that shares nothing with the search's criterion.
 """
@@ -187,7 +190,10 @@ def cycle_path_generators(
 
 
 def double_description(
-    system: TwoSidedSystem, max_pairs: int | None = DEFAULT_MAX_CYCLES
+    system: TwoSidedSystem,
+    max_pairs: int | None = DEFAULT_MAX_CYCLES,
+    *,
+    prune: bool = False,
 ) -> GeneratorSet:
     """Generators of {x : lower (x) <= upper (x)} by row-wise intersection.
 
@@ -202,13 +208,22 @@ def double_description(
     over unpaired.  Generators are kept in scaled deduplicated form after
     every row.
 
-    ``max_pairs`` caps the satisfier/violator pairs summed over the rows,
-    the unpaired satisfiers included; a row that would pass it raises
-    CycleLimitError before any of its pairs is formed.
+    With ``prune`` the set is cut down after every row to the scaled
+    extremals of the cone cut out so far, so the result is the scaled
+    basis of the solution set; without it the set keeps every boundary
+    point formed.  A satisfier was extremal in the larger cone and lies
+    in the smaller one, so it stays extremal: only the new boundary
+    points not already held are tested, by :func:`_admit_extremals`.
+
+    ``max_pairs`` caps the boundary points formed, summed over the rows:
+    a row forms one per violator and satisfier with finite upper_k.  A
+    row that would pass the cap raises CycleLimitError before any of its
+    pairs is formed.
     """
     d = system.dimension
     current: list[MpVector] = sorted(unit(d, i) for i in range(d))
-    pairs = 0
+    index = SpanIndex(current) if prune else None
+    formed = 0
     for row in system.rows:
         lower, upper = (
             [(j, a) for j, a in enumerate(side) if a is not NEG_INF] for side in row
@@ -221,18 +236,33 @@ def double_description(
                 sat.append((v, up))
             else:
                 vio.append((v, lo))
-        pairs += len(sat) * len(vio)
-        if max_pairs is not None and pairs > max_pairs:
+        paired = [(v, up) for v, up in sat if up is not NEG_INF]
+        formed += len(paired) * len(vio)
+        if max_pairs is not None and formed > max_pairs:
             raise CycleLimitError(
                 f"more than {max_pairs} double description pairs; "
                 "raise the cap to proceed"
             )
+        if index is not None:
+            # A boundary point is finite exactly where v or w is, since
+            # lower_k (w) and upper_k (v) are finite: its mask is theirs
+            # joined, and none is recomputed.
+            masks = index.masks
+            vio_masks = [masks.pop(w) for w, _ in vio]
+            fresh: dict[MpVector, int] = {}
+            for v, up_v in paired:
+                mask_v = masks[v]
+                for (w, lo_w), mask_w in zip(vio, vio_masks):
+                    z = boundary_point(v, lo_w, w, up_v)
+                    if z not in masks:
+                        fresh.setdefault(z, mask_v | mask_w)
+            _admit_extremals(index, fresh)
+            current = sorted(masks)
+            continue
         # Satisfiers are scaled already; insertion order decides which of
         # two equal vectors (say 1 and Fraction(1)) the set keeps.
         new = {v for v, _ in sat}
-        for v, up_v in sat:
-            if up_v is NEG_INF:
-                continue
+        for v, up_v in paired:
             for w, lo_w in vio:
                 new.add(boundary_point(v, lo_w, w, up_v))
         current = sorted(new)
@@ -260,32 +290,38 @@ def extremal_filter(gens: Iterable[MpVector]) -> ScaledBasis:
     """Reduce a generating set to its scaled extremals.
 
     A scaled generator is extremal exactly when it is not a combination of
-    the other scaled generators, and only those whose support lies inside
-    its own can take part.  So the distinct scaled vectors are decided one
-    support at a time, in ascending order of support size, then mask, then
-    vector: a total order, so the work does not depend on set iteration
-    order.  One :class:`SpanIndex` grows a support group at a time.  The
-    whole group enters before any of it is tested, since a vector may lean
-    on others of its own support, and a vector found redundant leaves at
-    once.  The scaled extremals belong to every scaled generating set, so
-    the index holds only the group and the extremals found so far, which
-    still span every vector already decided.  The result is the unique
-    scaled basis.
+    the other scaled generators.  The distinct scaled vectors are decided
+    by :func:`_admit_extremals` into an empty index; those it keeps are
+    the unique scaled basis.
     """
-    masks = SpanIndex({v.scaled() for v in gens}).masks
-    order = sorted(masks, key=lambda v: (masks[v].bit_count(), masks[v], v))
     index = SpanIndex()
-    keep = []
-    for _, group in groupby(order, masks.__getitem__):
+    _admit_extremals(index, SpanIndex({v.scaled() for v in gens}).masks)
+    return ScaledBasis(index.masks)
+
+
+def _admit_extremals(index: SpanIndex, masks: dict[MpVector, int]) -> None:
+    """Add to ``index`` those of the scaled vectors ``masks`` maps to their
+    support masks that are not combinations of the others and of the
+    vectors ``index`` holds, which must all be extremal.
+
+    Only vectors whose support lies inside a vector's own can take part
+    in it, so the vectors are decided one support at a time, in ascending
+    order of support size, then mask, then vector: a total order, so the
+    work does not depend on iteration order.  The whole group enters the
+    index before any of it is tested, since a vector may lean on others of
+    its own support, and a vector found redundant leaves at once.  The
+    scaled extremals belong to every scaled generating set, so the index
+    holds only the group and the extremals found so far, which still span
+    every vector already decided.
+    """
+    order = sorted(masks, key=lambda v: (masks[v].bit_count(), masks[v], v))
+    for mask, group in groupby(order, masks.__getitem__):
         group = list(group)
         for v in group:
-            index.add(v)
+            index.masks[v] = mask
         for v in group:
             if in_span(v, index, v):
                 index.discard(v)
-            else:
-                keep.append(v)
-    return ScaledBasis(keep)
 
 
 class SpanOracle:

@@ -334,7 +334,8 @@ class SpanIndex:
     """A set of proper generators of equal dimension with their support masks.
 
     Used for many :func:`in_span` tests; :meth:`add` and :meth:`discard`
-    change it between tests.
+    change it between tests.  A caller that already knows a generator's
+    support mask may set ``masks[w]`` itself instead of calling add.
     """
 
     __slots__ = ("dimension", "masks")

@@ -135,7 +135,8 @@ class TestBasis:
         }
         assert cli.main(["basis", example_file, "--json", "--method", "dd"]) == 0
         d = json.loads(capsys.readouterr().out)
-        assert d["stats"] == {"cycles": 0, "paths": 0, "candidates": 23, "duplicates": 0}
+        # dd prunes every row to the partial cone's extremals: the basis
+        assert d["stats"] == {"cycles": 0, "paths": 0, "candidates": 10, "duplicates": 0}
 
     def test_lambda_flag_golden(self, example_file, capsys):
         assert cli.main(["basis", example_file, "--lambda", "5/4"]) == 0
@@ -209,6 +210,18 @@ class TestBasis:
         assert cli.main(["basis", example_file, "--method", method]) == 0
         assert capsys.readouterr().out == BASIS_BLOB
         assert len(built) == 1
+
+    @pytest.mark.parametrize("seed", [7, 9, 11])
+    def test_dd_agrees_with_extremal_at_14(self, tmp_path, capsys, seed):
+        # Random n=14 matrices with about 30% of the arcs present, under
+        # the default cap; each route takes about a second or less.
+        a = rand_matrix(random.Random(seed), 14, neg_inf_p=0.7)
+        f = write(tmp_path, render_matrix(a))
+        assert cli.main(["basis", f, "--method", "extremal"]) == 0
+        want = capsys.readouterr().out
+        assert want
+        assert cli.main(["basis", f, "--method", "dd"]) == 0
+        assert capsys.readouterr().out == want
 
     def test_bad_lambda_values(self, example_file, capsys):
         assert cli.main(["basis", example_file, "--lambda", "bogus"]) == 2

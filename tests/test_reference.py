@@ -43,6 +43,7 @@ from support import (
     brute_mp_dot,
     brute_normalized,
     brute_path_generators,
+    brute_scale,
     chain_into_loop,
     complete_matrix,
     fractional_matrix,
@@ -272,27 +273,44 @@ class TestDoubleDescriptionStep:
         assert typed(double_description(system).vectors) == typed(want)
 
     def test_structured_families(self):
-        rng = random.Random(5)
-        for a in (
-            chain_into_loop(12),
-            block_triangular(rng, (3, 2, 3)),
-            fractional_matrix(rng, 5, neg_inf_p=0.3),
-            zero_critical_cycle(complete_matrix(rng, 4)),
-        ):
+        for a in structured_families():
             system = TwoSidedSystem.supereigen(a)
             want, _ = brute_double_description(system.rows)
             assert typed(double_description(system).vectors) == typed(want)
 
 
+def structured_families():
+    rng = random.Random(5)
+    return [
+        chain_into_loop(12),
+        block_triangular(rng, (3, 2, 3)),
+        fractional_matrix(rng, 5, neg_inf_p=0.3),
+        zero_critical_cycle(complete_matrix(rng, 4)),
+    ]
+
+
+def cap_is_the_formed_count(system, prune) -> int:
+    """The run passes with the cap at the boundary points it forms and
+    raises at one less; returns that count."""
+    formed = boundary_point_calls(system, prune=prune)
+    want = double_description(system, None, prune=prune).vectors
+    assert double_description(system, formed, prune=prune).vectors == want
+    if formed:
+        with pytest.raises(CycleLimitError, match=f"more than {formed - 1} "):
+            double_description(system, formed - 1, prune=prune)
+    return formed
+
+
 class TestDoubleDescriptionCap:
-    def test_cap_is_the_pair_count(self):
+    @pytest.mark.parametrize("prune", [False, True], ids=["unpruned", "pruned"])
+    def test_cap_is_the_boundary_point_count(self, prune):
         system = TwoSidedSystem.supereigen(chain_into_loop(8))
-        _, pairs = brute_double_description(system.rows)
-        assert pairs > 0
-        want = double_description(system, None).vectors
-        assert double_description(system, pairs).vectors == want
-        with pytest.raises(CycleLimitError, match=f"more than {pairs - 1} "):
-            double_description(system, pairs - 1)
+        assert cap_is_the_formed_count(system, prune) > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_systems(), st.booleans())
+    def test_cap_is_the_boundary_point_count_on_tied_systems(self, system, prune):
+        cap_is_the_formed_count(system, prune)
 
     def test_default_cap_and_zero(self):
         system = TwoSidedSystem.supereigen(example_matrix())
@@ -305,12 +323,13 @@ class TestDoubleDescriptionCap:
         )
 
     def test_long_chain_stops_early(self):
+        # The chain forms 120 * 119 / 2 = 7,140 boundary points in all.
         system = TwoSidedSystem.supereigen(chain_into_loop(120))
         with pytest.raises(CycleLimitError):
-            double_description(system, 10_000)
+            double_description(system, 5_000)
 
 
-def boundary_point_calls(system) -> int:
+def boundary_point_calls(system, *, prune=False) -> int:
     """How many boundary points ``double_description`` forms on the system."""
     calls = []
     step = reference.boundary_point
@@ -321,7 +340,7 @@ def boundary_point_calls(system) -> int:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reference, "boundary_point", counting)
-        double_description(system, None)
+        double_description(system, None, prune=prune)
     return len(calls)
 
 
@@ -346,6 +365,88 @@ class TestDoubleDescriptionWork:
         got = double_description(TwoSidedSystem.supereigen(a)).vectors
         assert len(got) == 120
         assert set(got) == set(extremal_basis(a).basis.vectors)
+
+
+def pruned_prefixes_match(system):
+    """After every row prefix, the pruned set is the filtered unpruned set,
+    by value; by type too when every entry is an int or -inf."""
+    ints = all(
+        e is NEG_INF or type(e) is int for row in system.rows for side in row for e in side
+    )
+    for k in range(1, len(system.rows) + 1):
+        rows = system.rows[:k]
+        got = double_description(TwoSidedSystem(system.dimension, rows), None, prune=True)
+        want = extremal_filter(brute_double_description(rows)[0])
+        assert got.vectors == want.vectors
+        if ints:
+            assert typed(got.vectors) == typed(want.vectors)
+
+
+def brute_new_points(system) -> list[MpVector]:
+    """Per row, the distinct scaled boundary points not already among the
+    extremals of the previous prefix; all rows' together, sorted."""
+    d = system.dimension
+    prev = [unit(d, i) for i in range(d)]
+    points = []
+    for k, (lower, upper) in enumerate(system.rows):
+        if k:
+            prev = extremal_filter(brute_double_description(system.rows[:k])[0]).vectors
+        scored = [(v, brute_mp_dot(lower, v), brute_mp_dot(upper, v)) for v in prev]
+        sat = [(v, up) for v, lo, up in scored if lo <= up]
+        vio = [(w, lo) for w, lo, up in scored if lo > up]
+        new = set()
+        for v, up in sat:
+            for w, lo in vio:
+                z = brute_join(brute_scale(v, lo), brute_scale(w, up))
+                new.add(brute_normalized(z)[1])
+        points += new - {v for v, _ in sat}
+    return sorted(points)
+
+
+class TestPrunedDoubleDescription:
+    """``prune=True`` keeps the extremals of each partial cone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_systems())
+    def test_every_prefix_is_the_filtered_set(self, system):
+        pruned_prefixes_match(system)
+
+    def test_structured_families(self):
+        for a in structured_families():
+            pruned_prefixes_match(TwoSidedSystem.supereigen(a))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_systems())
+    def test_only_new_points_are_tested(self, system):
+        tested = []
+        span = reference.in_span
+
+        def counting(v, gens, skip=None):
+            tested.append(v)
+            return span(v, gens, skip)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reference, "in_span", counting)
+            double_description(system, None, prune=True)
+        assert sorted(tested) == brute_new_points(system)
+
+    def test_group_enters_before_it_is_tested(self):
+        # The last row forms (-3, -4, 0) = (-3, -inf, 0) join -1 (-3, -3, 0),
+        # which sorts before the point of its own support it leans on.
+        rows = (
+            SystemRow(v5(0, NI, 2), v5(NI, 1, 2)),
+            SystemRow(v5(-2, 1, -2), v5(1, NI, NI)),
+            SystemRow(v5(1, NI, NI), v5(0, 0, -2)),
+        )
+        got = double_description(TwoSidedSystem(3, rows), None, prune=True)
+        assert got.vectors == (v5(-3, NI, 0), v5(-3, -3, 0))
+        pruned_prefixes_match(TwoSidedSystem(3, rows))
+
+    def test_worked_example_is_the_basis(self):
+        system = TwoSidedSystem.supereigen(example_matrix())
+        got = double_description(system, prune=True)
+        assert ScaledBasis(got.vectors) == ScaledBasis(example_basis_vectors())
+        assert len(double_description(system).vectors) == 23
 
 
 class TestExtremalFilter:
