@@ -11,9 +11,11 @@ of A (x) >= x, used to cross-check the extremal search:
   general two-sided system lower (x) <= upper (x), starting from the unit
   vectors and combining satisfier/violator pairs row by row with
   :func:`maxplus.semiring.boundary_point`, the step the search grows its
-  candidates with.  Pruned, it keeps only the extremals of each partial
-  cone, decided by span tests (:func:`maxplus.semiring.in_span`), and so
-  returns the scaled basis itself.
+  candidates with.  Both modes run one row loop over the generators and
+  their support masks; they differ only in how a row's new points join.
+  Pruned, only the extremals of each partial cone join, decided by span
+  tests (:func:`maxplus.semiring.in_span`), and so it returns the scaled
+  basis itself.
 
 Unpruned, both return generating sets that usually contain redundant
 vectors; :func:`extremal_filter` reduces any generating set to the scaled
@@ -44,9 +46,9 @@ from .semiring import (
     MpMatrix,
     MpVector,
     ScaledBasis,
-    SpanIndex,
     boundary_point,
     in_span,
+    support_masks,
     unit,
 )
 
@@ -205,15 +207,16 @@ def double_description(
     which lands exactly on the row's boundary of feasibility.  A satisfier
     with upper_k (v) = -inf has lower_k (v) = -inf too, so its boundary
     point with any violator is a multiple of v itself: it is carried
-    over unpaired.  Generators are kept in scaled deduplicated form after
-    every row.
+    over unpaired.  Generators are kept in scaled deduplicated form, each
+    mapped to its support mask, in one dict that every row updates.
 
-    With ``prune`` the set is cut down after every row to the scaled
-    extremals of the cone cut out so far, so the result is the scaled
-    basis of the solution set; without it the set keeps every boundary
-    point formed.  A satisfier was extremal in the larger cone and lies
-    in the smaller one, so it stays extremal: only the new boundary
-    points not already held are tested, by :func:`_admit_extremals`.
+    ``prune`` picks only a row's last step, the one that adds the new
+    boundary points not already held.  With it they are admitted by
+    :func:`_admit_extremals`, so the set is cut down after every row to
+    the scaled extremals of the cone cut out so far and the result is the
+    scaled basis of the solution set: a satisfier was extremal in the
+    larger cone and lies in the smaller one, so it stays extremal and is
+    not tested again.  Without it every new point is added, untested.
 
     ``max_pairs`` caps the boundary points formed, summed over the rows:
     a row forms one per violator and satisfier with finite upper_k.  A
@@ -221,52 +224,44 @@ def double_description(
     pairs is formed.
     """
     d = system.dimension
-    current: list[MpVector] = sorted(unit(d, i) for i in range(d))
-    index = SpanIndex(current) if prune else None
+    masks = support_masks(sorted(unit(d, i) for i in range(d)))
     formed = 0
     for row in system.rows:
         lower, upper = (
             [(j, a) for j, a in enumerate(side) if a is not NEG_INF] for side in row
         )
-        sat: list[tuple[MpVector, ExtReal]] = []
+        paired: list[tuple[MpVector, ExtReal]] = []
         vio: list[tuple[MpVector, ExtReal]] = []
-        for v in current:
+        for v in sorted(masks):
             lo, up = _sparse_dot(lower, v), _sparse_dot(upper, v)
-            if lo is NEG_INF or (up is not NEG_INF and lo <= up):
-                sat.append((v, up))
-            else:
+            if lo is not NEG_INF and (up is NEG_INF or lo > up):
                 vio.append((v, lo))
-        paired = [(v, up) for v, up in sat if up is not NEG_INF]
+            elif up is not NEG_INF:
+                paired.append((v, up))
         formed += len(paired) * len(vio)
         if max_pairs is not None and formed > max_pairs:
             raise CycleLimitError(
                 f"more than {max_pairs} double description pairs; "
                 "raise the cap to proceed"
             )
-        if index is not None:
-            # A boundary point is finite exactly where v or w is, since
-            # lower_k (w) and upper_k (v) are finite: its mask is theirs
-            # joined, and none is recomputed.
-            masks = index.masks
-            vio_masks = [masks.pop(w) for w, _ in vio]
-            fresh: dict[MpVector, int] = {}
-            for v, up_v in paired:
-                mask_v = masks[v]
-                for (w, lo_w), mask_w in zip(vio, vio_masks):
-                    z = boundary_point(v, lo_w, w, up_v)
-                    if z not in masks:
-                        fresh.setdefault(z, mask_v | mask_w)
-            _admit_extremals(index, fresh)
-            current = sorted(masks)
-            continue
-        # Satisfiers are scaled already; insertion order decides which of
-        # two equal vectors (say 1 and Fraction(1)) the set keeps.
-        new = {v for v, _ in sat}
+        # A boundary point is finite exactly where v or w is, since
+        # lower_k (w) and upper_k (v) are finite: its mask is theirs
+        # joined, and none is recomputed.  The satisfiers stay, so of two
+        # equal vectors (say 1 and Fraction(1)) the one held or formed
+        # first is kept.
+        vio_masks = [masks.pop(w) for w, _ in vio]
+        fresh: dict[MpVector, int] = {}
         for v, up_v in paired:
-            for w, lo_w in vio:
-                new.add(boundary_point(v, lo_w, w, up_v))
-        current = sorted(new)
-    return GeneratorSet(tuple(current))
+            mask_v = masks[v]
+            for (w, lo_w), mask_w in zip(vio, vio_masks):
+                z = boundary_point(v, lo_w, w, up_v)
+                if z not in masks:
+                    fresh.setdefault(z, mask_v | mask_w)
+        if prune:
+            _admit_extremals(masks, fresh)
+        else:
+            masks.update(fresh)
+    return GeneratorSet(tuple(sorted(masks)))
 
 
 def _sparse_dot(entries: list[tuple[int, ExtReal]], x: MpVector) -> ExtReal:
@@ -291,37 +286,37 @@ def extremal_filter(gens: Iterable[MpVector]) -> ScaledBasis:
 
     A scaled generator is extremal exactly when it is not a combination of
     the other scaled generators.  The distinct scaled vectors are decided
-    by :func:`_admit_extremals` into an empty index; those it keeps are
+    by :func:`_admit_extremals` into an empty dict; those it keeps are
     the unique scaled basis.
     """
-    index = SpanIndex()
-    _admit_extremals(index, SpanIndex({v.scaled() for v in gens}).masks)
-    return ScaledBasis(index.masks)
+    masks: dict[MpVector, int] = {}
+    _admit_extremals(masks, support_masks({v.scaled() for v in gens}))
+    return ScaledBasis(masks)
 
 
-def _admit_extremals(index: SpanIndex, masks: dict[MpVector, int]) -> None:
-    """Add to ``index`` those of the scaled vectors ``masks`` maps to their
+def _admit_extremals(masks: dict[MpVector, int], fresh: dict[MpVector, int]) -> None:
+    """Add to ``masks`` those of the scaled vectors ``fresh`` maps to their
     support masks that are not combinations of the others and of the
-    vectors ``index`` holds, which must all be extremal.
+    vectors ``masks`` holds, which must all be extremal.
 
     Only vectors whose support lies inside a vector's own can take part
     in it, so the vectors are decided one support at a time, in ascending
     order of support size, then mask, then vector: a total order, so the
-    work does not depend on iteration order.  The whole group enters the
-    index before any of it is tested, since a vector may lean on others of
-    its own support, and a vector found redundant leaves at once.  The
-    scaled extremals belong to every scaled generating set, so the index
+    work does not depend on iteration order.  The whole group enters
+    ``masks`` before any of it is tested, since a vector may lean on others
+    of its own support, and a vector found redundant leaves at once.  The
+    scaled extremals belong to every scaled generating set, so ``masks``
     holds only the group and the extremals found so far, which still span
     every vector already decided.
     """
-    order = sorted(masks, key=lambda v: (masks[v].bit_count(), masks[v], v))
-    for mask, group in groupby(order, masks.__getitem__):
+    order = sorted(fresh, key=lambda v: (fresh[v].bit_count(), fresh[v], v))
+    for mask, group in groupby(order, fresh.__getitem__):
         group = list(group)
         for v in group:
-            index.masks[v] = mask
+            masks[v] = mask
         for v in group:
-            if in_span(v, index, v):
-                index.discard(v)
+            if in_span(v, masks, v):
+                del masks[v]
 
 
 class SpanOracle:
@@ -331,14 +326,15 @@ class SpanOracle:
     of the other scaled generators; extremals belong to every scaled
     generating set, so testing against this particular one is conclusive.
     Callers guarantee v solves A (x) >= x and is scaled.  The generators
-    sit in a :class:`SpanIndex` built once and never changed.
+    sit in a :func:`~maxplus.semiring.support_masks` dict built once and
+    never changed.
     """
 
     __slots__ = ("_gens",)
 
     def __init__(self, a: MpMatrix, *, max_cycles: int | None = DEFAULT_MAX_CYCLES):
         gens = cycle_path_generators(a, max_cycles=max_cycles)
-        self._gens = SpanIndex(gens.scaled_set())
+        self._gens = support_masks(gens.scaled_set())
 
     def __call__(self, v: MpVector) -> bool:
         return not in_span(v, self._gens, v)

@@ -9,7 +9,7 @@ overhead.
 
 The hot vector operations (``MpVector.scale``, ``scaled``, ``mp_dot``,
 ``row_apply``, :func:`boundary_point`, the double description step, and
-:func:`in_span` over a :class:`SpanIndex`) never hand ``NEG_INF`` to an
+:func:`in_span` over a dict of support masks) never hand ``NEG_INF`` to an
 operator: they test each entry with ``is NEG_INF`` and apply ``max``,
 ``+`` and ``-`` to finite entries only, which are then plain ``int`` and
 ``Fraction`` arithmetic.  The results are the values and types the plain
@@ -330,48 +330,36 @@ def _support_mask(x: MpVector) -> int:
     return sum(1 << i for i, e in enumerate(x) if e is not NEG_INF)
 
 
-class SpanIndex:
-    """A set of proper generators of equal dimension with their support masks.
+def support_masks(gens: Iterable[MpVector] = ()) -> dict[MpVector, int]:
+    """Each proper generator, all of one dimension, mapped to its support mask.
 
-    Used for many :func:`in_span` tests; :meth:`add` and :meth:`discard`
-    change it between tests.  A caller that already knows a generator's
-    support mask may set ``masks[w]`` itself instead of calling add.
+    This is the dict :func:`in_span` reads.  A caller that already knows a
+    generator's support mask may insert it, or ``del`` a generator, itself
+    between tests.  Of two equal generators (say 1 and Fraction(1)) the
+    first is the key kept, as ``dict`` keeps it.
     """
-
-    __slots__ = ("dimension", "masks")
-
-    def __init__(self, gens: Iterable[MpVector] = ()):
-        self.dimension: int | None = None
-        self.masks: dict[MpVector, int] = {}
-        for w in gens:
-            self.add(w)
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def add(self, w: MpVector) -> None:
-        """Insert the proper generator w."""
-        if self.dimension is None:
-            self.dimension = len(w)
-        elif len(w) != self.dimension:
-            raise DimensionError(
-                f"generators of dimension {self.dimension} and {len(w)}"
-            )
+    masks: dict[MpVector, int] = {}
+    dimension = None
+    for w in gens:
+        if dimension is None:
+            dimension = len(w)
+        elif len(w) != dimension:
+            raise DimensionError(f"generators of dimension {dimension} and {len(w)}")
         mask = _support_mask(w)
         if not mask:
             raise ImproperVectorError("the all -inf vector as a generator")
-        self.masks[w] = mask
-
-    def discard(self, w: MpVector) -> None:
-        """Remove w, if present."""
-        self.masks.pop(w, None)
+        masks[w] = mask
+    return masks
 
 
-def in_span(v: MpVector, gens: SpanIndex, skip: MpVector | None = None) -> bool:
+def in_span(
+    v: MpVector, masks: dict[MpVector, int], skip: MpVector | None = None
+) -> bool:
     """Whether v is a max-plus combination of the generators other than skip.
 
-    The generators come as a :class:`SpanIndex`, whose support masks are
-    reused across tests, v's own included when v is one of them.
+    The generators come as the keys of ``masks``, each mapped to its
+    support mask (:func:`support_masks`), so the masks are reused across
+    tests, v's own included when v is one of them.
     Only a generator w whose support lies inside the support of v can take
     part, with coefficient residual(v, w); since residual(v, w) + w <= v,
     v lies in the span iff every finite coordinate of v is reached exactly
@@ -380,16 +368,13 @@ def in_span(v: MpVector, gens: SpanIndex, skip: MpVector | None = None) -> bool:
     cover the support of v; otherwise the test stops as soon as every
     coordinate is reached.
     """
-    if gens.dimension is not None and len(v) != gens.dimension:
+    if masks and len(v) != (d := len(next(iter(masks)))):
         raise DimensionError(
-            f"vector of dimension {len(v)} against generators of "
-            f"dimension {gens.dimension}"
+            f"vector of dimension {len(v)} against generators of dimension {d}"
         )
-    todo = gens.masks.get(v) or _support_mask(v)
+    todo = masks.get(v) or _support_mask(v)
     outside = ~todo
-    live = [
-        (w, m) for w, m in gens.masks.items() if not m & outside and w != skip
-    ]
+    live = [(w, m) for w, m in masks.items() if not m & outside and w != skip]
     reach = 0
     for _, mask in live:
         reach |= mask

@@ -367,6 +367,34 @@ class TestDoubleDescriptionWork:
         assert set(got) == set(extremal_basis(a).basis.vectors)
 
 
+def unpruned_without_span_tests(system):
+    """``double_description(system)`` with every span test made to raise."""
+
+    def refuse(*args):
+        raise AssertionError("unpruned double description made a span test")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "in_span", refuse)
+        mp.setattr(reference, "_admit_extremals", refuse)
+        return double_description(system)
+
+
+class TestUnprunedDoubleDescription:
+    """Without ``prune`` the row loop both modes share makes no span test,
+    and returns the vectors, of the same types, as first written."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_systems())
+    def test_no_span_test_on_tied_systems(self, system):
+        want, _ = brute_double_description(system.rows)
+        assert typed(unpruned_without_span_tests(system).vectors) == typed(want)
+
+    def test_no_span_test_on_a_long_chain(self):
+        system = TwoSidedSystem.supereigen(chain_into_loop(30))
+        want, _ = brute_double_description(system.rows)
+        assert typed(unpruned_without_span_tests(system).vectors) == typed(want)
+
+
 def pruned_prefixes_match(system):
     """After every row prefix, the pruned set is the filtered unpruned set,
     by value; by type too when every entry is an int or -inf."""

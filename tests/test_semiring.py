@@ -14,7 +14,6 @@ from maxplus import (
     MpMatrix,
     MpVector,
     ScaledBasis,
-    SpanIndex,
     bottom,
     boundary_point,
     format_scalar,
@@ -23,6 +22,7 @@ from maxplus import (
     mp_dot,
     parse_scalar,
     residual,
+    support_masks,
     unit,
     vector,
 )
@@ -56,16 +56,24 @@ def vectors(n: int):
 
 
 def in_index(v, gens):
-    """in_span over an index built from the generators at once."""
-    return in_span(v, SpanIndex(gens))
+    """in_span over the masks of the generators, built at once."""
+    return in_span(v, support_masks(gens))
+
+
+def mask_of(w):
+    """w's support mask, bit by bit: bit i set when entry i is finite."""
+    return sum(1 << i for i, e in enumerate(w) if e is not NEG_INF)
 
 
 def in_grown_span(v, gens):
-    """in_span over an index grown one generator at a time with add."""
-    index = SpanIndex()
+    """in_span over a dict grown one generator at a time by plain
+    insertion, which must equal the dict support_masks builds at once."""
+    fresh = support_masks(gens)
+    masks = {}
     for w in gens:
-        index.add(w)
-    return in_span(v, index)
+        masks[w] = mask_of(w)
+    assert masks == fresh
+    return in_span(v, masks)
 
 
 def product(a, x):
@@ -369,18 +377,18 @@ class TestResidual:
 class TestInSpan:
     def test_self_membership(self):
         v = vector([0, -2, NEG_INF])
-        assert in_span(v, SpanIndex([v]))
-        assert in_span(v, SpanIndex([v.scale(-5)]))
+        assert in_span(v, support_masks([v]))
+        assert in_span(v, support_masks([v.scale(-5)]))
 
     def test_combination_membership(self):
         x = vector([0, -1, NEG_INF])
         y = vector([-1, 0, NEG_INF])
-        assert in_span(brute_join(x, y), SpanIndex([x, y]))
-        assert not in_span(vector([0, 0, 0]), SpanIndex([x, y]))
+        assert in_span(brute_join(x, y), support_masks([x, y]))
+        assert not in_span(vector([0, 0, 0]), support_masks([x, y]))
 
     def test_empty_generators_span_only_bottom(self):
-        assert in_span(vector([NEG_INF, NEG_INF]), SpanIndex())
-        assert not in_span(vector([0, NEG_INF]), SpanIndex())
+        assert in_span(vector([NEG_INF, NEG_INF]), {})
+        assert not in_span(vector([0, NEG_INF]), {})
 
     def test_monotone_in_generators(self):
         rng = random.Random(5)
@@ -394,42 +402,51 @@ class TestInSpan:
             combo = gens[0].scale(coeffs[0])
             for g, c in zip(gens[1:], coeffs[1:]):
                 combo = brute_join(combo, g.scale(c))
-            assert in_span(combo, SpanIndex(gens))
+            assert in_span(combo, support_masks(gens))
             extra = rand_vector(rng, n)
             if extra.is_proper:
-                assert in_span(combo, SpanIndex(gens + [extra]))
+                assert in_span(combo, support_masks(gens + [extra]))
 
     @given(span_cases())
     def test_agrees_with_principal_solution(self, case):
         v, gens = case
         want = brute_in_span(v, gens)
-        assert in_span(v, SpanIndex(gens)) == want
+        assert in_span(v, support_masks(gens)) == want
         assert in_grown_span(v, gens) == want
 
     @given(span_cases(), st.data())
     def test_skip_leaves_out_every_copy(self, case, data):
         v, gens = case
         skip = data.draw(st.sampled_from(gens + [v]))
-        index = SpanIndex(gens)
+        masks = support_masks(gens)
         want = brute_in_span(v, [w for w in gens if w != skip])
-        assert in_span(v, index, skip) == want
-        assert len(index) == len(set(gens))
+        assert in_span(v, masks, skip) == want
+        assert len(masks) == len(set(gens))
+
+    def test_duplicates_keep_their_first_key(self):
+        ints, fracs = vector([1, 0, NEG_INF]), vector([Fraction(1), 0, NEG_INF])
+        for first, second in [(ints, fracs), (fracs, ints)]:
+            masks = support_masks([first, second])
+            assert masks == {first: 0b011}
+            (key,) = masks
+            assert [type(e) for e in key] == [type(e) for e in first]
 
     @given(span_cases(), st.data())
     def test_grown_index_matches_fresh(self, case, data):
-        # grow part of the index with add, around a discard, as the
+        # grow part of the dict by insertion, around a del, as the
         # filter does group by group
         v, gens = case
         k = data.draw(st.integers(0, len(gens)))
-        index = SpanIndex(gens[:k])
+        masks = support_masks(gens[:k])
         gone = data.draw(st.sampled_from(gens[:k])) if k else None
-        index.discard(gone)
+        if gone is not None:
+            del masks[gone]
         for w in gens[k:]:
-            index.add(w)
-        fresh = SpanIndex([w for w in gens[:k] if w != gone] + gens[k:])
-        assert index.masks == fresh.masks
+            masks[w] = mask_of(w)
+        fresh = support_masks([w for w in gens[:k] if w != gone] + gens[k:])
+        assert masks == fresh
         for skip in [None, v, *gens]:
-            assert in_span(v, index, skip) == in_span(v, fresh, skip)
+            assert in_span(v, masks, skip) == in_span(v, fresh, skip)
 
     @given(span_cases(), st.data())
     def test_discard_removes_every_copy(self, case, data):
@@ -437,11 +454,11 @@ class TestInSpan:
         if not gens:
             return
         gone = data.draw(st.sampled_from(gens))
-        index = SpanIndex(gens)
-        index.discard(gone)
+        masks = support_masks(gens)
+        del masks[gone]
         rest = [w for w in gens if w != gone]
-        assert len(index) == len(set(rest))
-        assert in_span(v, index) == brute_in_span(v, rest)
+        assert masks == support_masks(rest)
+        assert in_span(v, masks) == brute_in_span(v, rest)
 
     @pytest.mark.parametrize(
         "check",
@@ -512,6 +529,24 @@ class TestInputChecks:
                 ValueError,
                 "missing arc 0 -> 1",
                 id="cycle-weight-missing-arc",
+            ),
+            pytest.param(
+                lambda: support_masks([vector([0, 0]), vector([0])]),
+                DimensionError,
+                "generators of dimension 2 and 1",
+                id="mixed-generators",
+            ),
+            pytest.param(
+                lambda: support_masks([bottom(2)]),
+                ImproperVectorError,
+                "all -inf vector as a generator",
+                id="improper-generator",
+            ),
+            pytest.param(
+                lambda: in_span(vector([0]), support_masks([vector([0, 0])])),
+                DimensionError,
+                "vector of dimension 1 against generators of dimension 2",
+                id="span-dimension",
             ),
         ],
     )

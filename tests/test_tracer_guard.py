@@ -6,25 +6,57 @@ catches it in the fast suite, together with the traced contract the
 benchmark's own tests rely on: ``check`` builds a ``SpanOracle`` and the
 ``extremal`` route does not, and the ``extremal`` route reaches both of its
 growth steps through the names the tracer patches.
+
+The benchmark's own tests (``perfbench/tests``, outside this suite) also
+read the library.  They rebuild each workload's size guard with
+``TwoSidedSystem``, ``GeneratorSet.vectors`` and ``parse_matrix(...).matrix``
+and assert that ``check`` calls ``reference.SpanOracle``; the tracer
+patches ``SpanOracle.__init__`` and ``__call__`` and takes ``len()`` of
+the generator sets ``cycle_path_generators`` and ``double_description``
+return.  :func:`test_library_reads_the_benchmark_guard` pins those names
+here, on the ``structured`` and ``small-batch`` inputs of seed 7.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-from maxplus import cli, reference
+from maxplus import (
+    TwoSidedSystem,
+    cli,
+    cycle_path_generators,
+    double_description,
+    parse_matrix,
+    reference,
+)
 from support import EXAMPLE_TEXT
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load(name):
+    """perfbench/<name>.py as a module, perfbench's own imports resolved."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_{name}", PERFBENCH / f"{name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("tracer")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load("workloads")
 
 
 def test_install_patches_and_restore_puts_back(tracer):
@@ -78,3 +110,22 @@ def test_search_runs_through_both_growth_steps(tracer, tmp_path, capsys):
     assert totals["extremals.path_extremals.calls"] == 21
     assert totals["extremals.candidates"] == 43
     assert totals["extremals.duplicates"] == 33
+
+
+def library_guard_values(text):
+    """G and the dd peak over row prefixes, by the library's constructions."""
+    a = parse_matrix(text).matrix
+    g = len(cycle_path_generators(a).vectors)
+    system = TwoSidedSystem.supereigen(a)
+    peak = max(
+        len(double_description(TwoSidedSystem(system.dimension, system.rows[:k])).vectors)
+        for k in range(len(a) + 1)
+    )
+    return g, peak
+
+
+@pytest.mark.parametrize("workload", ["structured", "small-batch"])
+def test_library_reads_the_benchmark_guard(workloads, workload):
+    for case in workloads.generate(workload, 7):
+        want = (case.guard["G"], case.guard["dd_peak"])
+        assert library_guard_values(case.text) == want, case.name
