@@ -154,8 +154,8 @@ def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
         scaled = {v.scaled() for v in gens}
         basis = extremal_filter(scaled)
         stats = SearchStats(
-            cycles=len(structure.cycles),
-            paths=sum(map(len, structure.paths)),
+            cycles=len(structure),
+            paths=sum(len(paths) for _, paths in structure),
             candidates=len(gens.vectors),
             duplicates=len(gens.vectors) - len(scaled),
         )

@@ -39,21 +39,6 @@ class Cycle(NamedTuple):
     weight: ExtReal
 
 
-class FeederPath(NamedTuple):
-    """Elementary path whose only contact with a cycle is its final node.
-
-    Feeder paths are backward-maximal: the first node has no predecessor
-    outside the cycle's node set and the path itself, so no further
-    extension at the head is possible.
-    """
-
-    nodes: tuple[int, ...]
-
-    @property
-    def end(self) -> int:
-        return self.nodes[-1]
-
-
 class Digraph:
     """Immutable adjacency view of a square max-plus matrix."""
 
@@ -235,19 +220,20 @@ def rotations(cycle: Cycle) -> list[Cycle]:
 
 def feeder_paths(
     d: Digraph, cycle: Cycle, max_paths: int | None = DEFAULT_MAX_CYCLES
-) -> list[FeederPath]:
-    """All maximal feeder paths of a cycle, sorted by node tuple.
+) -> list[tuple[int, ...]]:
+    """All maximal feeder paths of a cycle, as node tuples in sorted order.
 
-    A feeder path (l_1, ..., l_m) has m >= 2 distinct nodes, consecutive
-    arcs in the digraph, only l_m inside the cycle's node set, and is
-    maximal: every predecessor of l_1 already lies in the cycle or on the
-    path.  Maximal paths are exactly the leaves of the backward-extension
-    search, so a depth-first walk over fresh outside predecessors finds
-    each exactly once.  The walk keeps an explicit stack, so path length
-    is not bounded by the interpreter's recursion limit.
+    A feeder path, the tuple (l_1, ..., l_m), has m >= 2 distinct nodes,
+    consecutive arcs in the digraph, only l_m inside the cycle's node set,
+    and is maximal: every predecessor of l_1 already lies in the cycle or
+    on the path.  Maximal paths are exactly the leaves of the
+    backward-extension search, so a depth-first walk over fresh outside
+    predecessors finds each exactly once.  The walk keeps an explicit
+    stack, so path length is not bounded by the interpreter's recursion
+    limit.
     """
     jset = set(cycle.nodes)
-    out: list[FeederPath] = []
+    out: list[tuple[int, ...]] = []
 
     for end in cycle.nodes:
         # path[k] is the node at depth k (path[0] = end, path[-1] = head);
@@ -272,9 +258,9 @@ def feeder_paths(
                     f"more than {max_paths} feeder paths; "
                     "raise the cap to proceed"
                 )
-            out.append(FeederPath(tuple(reversed(path))))
+            out.append(tuple(reversed(path)))
             used.discard(path.pop())
-    out.sort(key=lambda p: p.nodes)
+    out.sort()
     return out
 
 

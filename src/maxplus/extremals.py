@@ -41,7 +41,6 @@ from .digraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
     Digraph,
-    FeederPath,
     max_cycle_mean,
     rotations,
 )
@@ -243,7 +242,7 @@ def cycle_terminals(
 
 def path_extremals(
     a: MpMatrix,
-    path: FeederPath,
+    path: tuple[int, ...],
     terminal: MpVector,
     oracle: Oracle,
     *,
@@ -251,7 +250,9 @@ def path_extremals(
 ) -> list[MpVector]:
     """Extend an extremal cycle candidate backward along a feeder path.
 
-    Walking the path (l_1, ..., l_m) from the cycle end inward, each step
+    ``path`` is a node tuple (l_1, ..., l_m) as
+    :func:`maxplus.digraph.feeder_paths` returns it; fewer than two nodes
+    raise ValueError.  Walking it from the cycle end inward, each step
     absorbs the unit vector at the next node:
 
         v <- v  join  (A_l (v)) (e(l))
@@ -270,16 +271,15 @@ def path_extremals(
     memo for this call.  Feeder paths that share a suffix from the same
     terminal form its steps once; the oracle still sees every emission.
     """
-    nodes = path.nodes
-    if len(nodes) < 2:
+    if len(path) < 2:
         raise ValueError("feeder path needs at least two nodes")
     if steps is None:
         steps = {}
     n = len(a)
     v = terminal
     out: list[MpVector] = []
-    for q in range(len(nodes) - 2, -1, -1):
-        node = nodes[q]
+    for q in range(len(path) - 2, -1, -1):
+        node = path[q]
         loop = a[node][node]
         if loop is not NEG_INF and loop >= 0:
             break
@@ -353,19 +353,19 @@ def extremal_basis(
         oracle = TangentOracle(a)
     steps: dict = {}
     pool: list[MpVector] = []
-    for cycle, paths in zip(structure.cycles, structure.paths):
+    for cycle, paths in structure:
         runs = cycle_terminals(a, cycle, oracle, steps=steps)
         pool.extend(r.scaled for r in runs.values() if r.extremal)
         for path in paths:
-            run = runs[path.end]
+            run = runs[path[-1]]
             if run.extremal:
                 pool.extend(
                     path_extremals(a, path, run.scaled, oracle, steps=steps)
                 )
     basis = ScaledBasis(pool)
     stats = SearchStats(
-        cycles=len(structure.cycles),
-        paths=sum(map(len, structure.paths)),
+        cycles=len(structure),
+        paths=sum(len(paths) for _, paths in structure),
         candidates=len(pool),
         duplicates=len(pool) - len(basis),
     )

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .digraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
     CycleLimitError,
     Digraph,
-    FeederPath,
     feeder_paths,
     nonneg_elementary_cycles,
 )
@@ -70,54 +69,41 @@ class GeneratorSet:
         return iter(self.vectors)
 
 
-class SystemRow(NamedTuple):
-    """One inequality row: lower (x) <= upper (x)."""
-
-    lower: MpVector
-    upper: MpVector
-
-
 @dataclass(frozen=True)
 class TwoSidedSystem:
-    """Finite system of one-sided rows lower_k (x) <= upper_k (x)."""
+    """Finite system of one-sided rows lower_k (x) <= upper_k (x).
+
+    Each row is the pair (lower_k, upper_k).
+    """
 
     dimension: int
-    rows: tuple[SystemRow, ...]
+    rows: tuple[tuple[MpVector, MpVector], ...]
 
     def __post_init__(self):
-        for k, row in enumerate(self.rows):
-            if len(row.lower) != self.dimension or len(row.upper) != self.dimension:
+        for k, (lower, upper) in enumerate(self.rows):
+            if len(lower) != self.dimension or len(upper) != self.dimension:
                 raise ValueError(f"row {k} does not match dimension {self.dimension}")
 
     @classmethod
     def supereigen(cls, a: MpMatrix) -> "TwoSidedSystem":
         """The system x <= A (x), one row per matrix row."""
         n = len(a)
-        return cls(n, tuple(SystemRow(unit(n, i), a[i]) for i in range(n)))
-
-
-class CycleStructure(NamedTuple):
-    """The nonnegative elementary cycles of a matrix and their feeder paths.
-
-    ``paths[k]`` holds the maximal feeder paths of ``cycles[k]``.  This is
-    the one walk every cycle-based route makes over a matrix.
-    """
-
-    cycles: tuple[Cycle, ...]
-    paths: tuple[tuple[FeederPath, ...], ...]
+        return cls(n, tuple((unit(n, i), a[i]) for i in range(n)))
 
 
 def cycle_structure(
     d: Digraph, max_cycles: int | None = DEFAULT_MAX_CYCLES
-) -> CycleStructure:
+) -> list[tuple[Cycle, list[tuple[int, ...]]]]:
     """Enumerate the cycles, then the feeder paths of each, once.
 
+    Returns one ``(cycle, paths)`` pair per nonnegative elementary cycle,
+    in cycle order, ``paths`` its :func:`maxplus.digraph.feeder_paths`.
+    This is the one walk every cycle-based route makes over a matrix.
     ``max_cycles`` caps the cycle enumeration and each cycle's path
     enumeration; exceeding it raises CycleLimitError.
     """
-    cycles = tuple(nonneg_elementary_cycles(d, max_cycles))
-    paths = tuple(tuple(feeder_paths(d, c, max_cycles)) for c in cycles)
-    return CycleStructure(cycles, paths)
+    cycles = nonneg_elementary_cycles(d, max_cycles)
+    return [(c, feeder_paths(d, c, max_cycles)) for c in cycles]
 
 
 def _cycle_generators(a: MpMatrix, cycle: Cycle) -> list[MpVector]:
@@ -169,25 +155,26 @@ def _path_generators(
 def cycle_path_generators(
     a: MpMatrix,
     *,
-    structure: CycleStructure | None = None,
+    structure: list[tuple[Cycle, list[tuple[int, ...]]]] | None = None,
     max_cycles: int | None = DEFAULT_MAX_CYCLES,
 ) -> GeneratorSet:
     """Closed-form generating set of {x : A (x) >= x}.
 
     Every solution is a max-plus combination of these vectors.  The set is
     deliberately unfiltered; apply :func:`extremal_filter` to reduce it to
-    the scaled basis.  Pass the matrix's :func:`cycle_structure` to reuse
-    an enumeration already made; otherwise one is made here.  For each
-    cycle, its rotation generators come first, then its path generators.
+    the scaled basis.  Pass the matrix's :func:`cycle_structure`, its
+    ``(cycle, paths)`` pairs, to reuse an enumeration already made;
+    otherwise one is made here.  For each cycle, its rotation generators
+    come first, then its path generators.
     """
     if structure is None:
         structure = cycle_structure(Digraph.from_matrix(a), max_cycles)
     vectors: list[MpVector] = []
-    for cycle, paths in zip(structure.cycles, structure.paths):
+    for cycle, paths in structure:
         gens = _cycle_generators(a, cycle)
         vectors.extend(gens)
         for path in paths:
-            vectors.extend(_path_generators(a, cycle, gens, path.nodes))
+            vectors.extend(_path_generators(a, cycle, gens, path))
     return GeneratorSet(tuple(vectors))
 
 

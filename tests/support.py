@@ -497,9 +497,9 @@ def brute_cycle_terminals(a: MpMatrix, cycle, oracle) -> dict:
     return runs
 
 
-def brute_path_extremals(a: MpMatrix, path, terminal: MpVector, oracle) -> tuple:
-    """(emitted vectors, every (vector, verdict) step) along one feeder path."""
-    nodes = path.nodes
+def brute_path_extremals(a: MpMatrix, nodes, terminal: MpVector, oracle) -> tuple:
+    """(emitted vectors, every (vector, verdict) step) along one feeder path,
+    given by its node tuple."""
     n = len(a)
     v = terminal
     out, trace = [], []
@@ -525,7 +525,7 @@ def brute_path_generators(a: MpMatrix, structure) -> list[MpVector]:
     """
     n = len(a)
     out: list[MpVector] = []
-    for cycle, paths in zip(structure.cycles, structure.paths):
+    for cycle, paths in structure:
         nodes = cycle.nodes
         t = len(nodes)
         gens = []
@@ -538,8 +538,7 @@ def brute_path_generators(a: MpMatrix, structure) -> list[MpVector]:
                 x = brute_join(x, brute_scale(unit(n, nodes[s + 1]), val))
             gens.append(x)
         out.extend(gens)
-        for path in paths:
-            p_nodes = path.nodes
+        for p_nodes in paths:
             x = gens[(nodes.index(p_nodes[-1]) - 1) % t]
             c = x[p_nodes[-1]]
             for p in range(len(p_nodes) - 2, -1, -1):

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from maxplus import (
     Cycle,
+    CycleLimitError,
     Digraph,
     MpMatrix,
     NEG_INF,
@@ -79,6 +80,12 @@ def three_route_bases(a):
     return search, closed, dd
 
 
+def pruned_dd_basis(a):
+    """The ``dd`` route as ``basis --method dd`` and ``verify`` run it."""
+    system = TwoSidedSystem.supereigen(a)
+    return ScaledBasis(double_description(system, prune=True).vectors)
+
+
 @criterion("c1", "golden 5x5 basis, exact, < 1 s")
 def test_c1_golden_basis():
     a = example_matrix()
@@ -102,7 +109,7 @@ def test_c2_combinatorics():
     ]
     loop = next(c for c in cycles if c.nodes == (1,))
     paths = feeder_paths(d, loop, None)
-    assert {p.nodes for p in paths} == {
+    assert set(paths) == {
         (2, 3, 4, 0, 1),
         (2, 3, 4, 1),
         (3, 4, 2, 1),
@@ -121,9 +128,9 @@ def test_c3_walkthrough_traces():
     terminal = cycle_terminals(a, loop, oracle)[1].scaled
 
     def trace_for(nodes):
-        path = next(p for p in feeder_paths(d, loop, None) if p.nodes == nodes)
+        assert nodes in feeder_paths(d, loop, None)
         steps = []
-        path_extremals(a, path, terminal, recording(oracle, steps))
+        path_extremals(a, nodes, terminal, recording(oracle, steps))
         return steps
 
     ni = NEG_INF
@@ -176,9 +183,31 @@ def test_c9_wider_three_route_agreement():
         search, closed, dd = three_route_bases(a)
         assert search == closed, a
         assert search == dd, a
+        assert search == pruned_dd_basis(a), a
         members = list(search)
         for g in cycle_path_generators(a).scaled_set():
             assert brute_in_span(g, members)
+
+
+@criterion("c10", "three routes agree on random n=12 with at most 3000 generators")
+def test_c10_random_n12_agreement():
+    # The guard is fixed before any route runs: the closed form (wang2020)
+    # must stay small.  The unpruned dd set exceeds its default pair cap on
+    # some of these inputs, so dd is the pruned route the CLI runs.
+    rng = random.Random(12012)
+    admitted = 0
+    for _ in range(30):
+        a = rand_matrix(rng, 12, neg_inf_p=0.8)
+        try:
+            if len(cycle_path_generators(a, max_cycles=20000)) > 3000:
+                continue
+        except CycleLimitError:
+            continue
+        search = extremal_basis(a).basis
+        assert search == extremal_filter(cycle_path_generators(a)), a
+        assert search == pruned_dd_basis(a), a
+        admitted += 1
+    assert admitted == 23
 
 
 @criterion("c5", "soundness: 1000 member checks and 1000 join checks")

@@ -711,7 +711,7 @@ class TestIntegerRescale:
         recording("extremal_basis", lambda a: [e for row in a for e in row])
         recording(
             "double_description",
-            lambda s: [e for r in s.rows for e in (*r.lower, *r.upper)],
+            lambda s: [e for lower, upper in s.rows for e in (*lower, *upper)],
         )
         for a in fractional_cases():
             out, _ = self.run(capsys, ["verify", write(tmp_path, render_matrix(a))])

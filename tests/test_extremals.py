@@ -9,7 +9,6 @@ from maxplus import (
     Cycle,
     CycleLimitError,
     Digraph,
-    FeederPath,
     MpMatrix,
     ScaledBasis,
     SearchStats,
@@ -172,9 +171,6 @@ class TestCycleTerminals:
 
 
 class TestPathExtremals:
-    def path(self, *nodes):
-        return FeederPath(tuple(nodes))
-
     def trace(self, a, path, terminal, oracle=None):
         steps = []
         out = path_extremals(
@@ -184,7 +180,7 @@ class TestPathExtremals:
 
     def test_longest_path_prunes_at_step_four(self):
         a = example_matrix()
-        out, steps = self.trace(a, self.path(4, 2, 3, 0, 1), unit(5, 1))
+        out, steps = self.trace(a, (4, 2, 3, 0, 1), unit(5, 1))
         assert steps == [
             (v5(0, -1, NI, NI, NI), True),
             (v5(-1, -2, NI, 0, NI), True),
@@ -195,13 +191,13 @@ class TestPathExtremals:
 
     def test_full_walk_reaches_last_extremal(self):
         a = example_matrix()
-        out, steps = self.trace(a, self.path(4, 3, 0, 1), unit(5, 1))
+        out, steps = self.trace(a, (4, 3, 0, 1), unit(5, 1))
         assert [s[1] for s in steps] == [True, True, True]
         assert out[-1] == v5(-2, -3, NI, -1, 0)
 
     def test_prune_after_duplicate_emission(self):
         a = example_matrix()
-        out, steps = self.trace(a, self.path(2, 3, 4, 0, 1), unit(5, 1))
+        out, steps = self.trace(a, (2, 3, 4, 0, 1), unit(5, 1))
         assert steps == [
             (v5(0, -1, NI, NI, NI), True),
             (v5(0, -1, NI, NI, -2), True),
@@ -228,26 +224,26 @@ class TestPathExtremals:
             ],
         }
         for nodes, want in cases.items():
-            out, steps = self.trace(a, self.path(*nodes), unit(5, 1))
+            out, steps = self.trace(a, nodes, unit(5, 1))
             assert steps == want, nodes
             assert out == [v for v, ok in want if ok]
 
     def test_scale_invariance(self):
         a = example_matrix()
-        p = self.path(4, 3, 0, 1)
+        p = (4, 3, 0, 1)
         base, _ = self.trace(a, p, unit(5, 1))
         shifted, _ = self.trace(a, p, unit(5, 1).scale(7))
         assert base == shifted
 
     def test_nonneg_self_loop_stops_before_emitting(self):
         a = mk([[0, NI], [1, 0]])
-        out, steps = self.trace(a, self.path(0, 1), unit(2, 1), always_extremal)
+        out, steps = self.trace(a, (0, 1), unit(2, 1), always_extremal)
         assert out == [] and steps == []
 
     def test_rejects_single_node(self):
         with pytest.raises(ValueError):
             path_extremals(
-                example_matrix(), FeederPath((1,)), unit(5, 1), always_extremal
+                example_matrix(), (1,), unit(5, 1), always_extremal
             )
 
 
@@ -285,7 +281,7 @@ class TestGrowthMatchesBrute:
             except CycleLimitError:
                 continue
             oracle = always_extremal if kind == "always" else TangentOracle(a)
-            for cycle, paths in zip(structure.cycles, structure.paths):
+            for cycle, paths in structure:
                 got = cycle_terminals(a, cycle, oracle)
                 want = brute_cycle_terminals(a, cycle, oracle)
                 assert list(got) == list(want)
@@ -297,11 +293,11 @@ class TestGrowthMatchesBrute:
                 for path in paths:
                     trace = []
                     out = path_extremals(
-                        a, path, got[path.end].scaled, recording(oracle, trace)
+                        a, path, got[path[-1]].scaled, recording(oracle, trace)
                     )
                     # the brute loop starts from the unscaled grown vector
                     want_out, want_trace = brute_path_extremals(
-                        a, path, want[path.end][1], oracle
+                        a, path, want[path[-1]][1], oracle
                     )
                     assert out == want_out
                     assert trace == want_trace
@@ -427,17 +423,17 @@ def memo_free_search(a, oracle, max_cycles):
     """extremal_basis's loop with each growth call on a fresh step memo."""
     structure = cycle_structure(Digraph.from_matrix(a), max_cycles)
     pool = []
-    for cycle, paths in zip(structure.cycles, structure.paths):
+    for cycle, paths in structure:
         runs = cycle_terminals(a, cycle, oracle)
         pool.extend(r.scaled for r in runs.values() if r.extremal)
         for path in paths:
-            run = runs[path.end]
+            run = runs[path[-1]]
             if run.extremal:
                 pool.extend(path_extremals(a, path, run.scaled, oracle))
     basis = ScaledBasis(pool)
     stats = SearchStats(
-        len(structure.cycles),
-        sum(map(len, structure.paths)),
+        len(structure),
+        sum(len(paths) for _, paths in structure),
         len(pool),
         len(pool) - len(basis),
     )

@@ -13,7 +13,6 @@ from maxplus import (
     NEG_INF,
     Cycle,
     CycleLimitError,
-    CycleStructure,
     Digraph,
     GeneratorSet,
     ImproperVectorError,
@@ -21,7 +20,6 @@ from maxplus import (
     MpVector,
     ScaledBasis,
     SpanOracle,
-    SystemRow,
     TwoSidedSystem,
     cycle_path_generators,
     cycle_structure,
@@ -64,7 +62,8 @@ def brute_extremal(v, scaled):
 def satisfies(system, x):
     """Whether x satisfies every row, by the brute-force inner product."""
     return all(
-        brute_mp_dot(r.lower, x) <= brute_mp_dot(r.upper, x) for r in system.rows
+        brute_mp_dot(lower, x) <= brute_mp_dot(upper, x)
+        for lower, upper in system.rows
     )
 
 
@@ -97,9 +96,7 @@ def v5(*entries):
 
 def only_cycle(a, cycle):
     """The matrix's cycle structure cut down to one of its cycles."""
-    s = cycle_structure(Digraph.from_matrix(a))
-    k = s.cycles.index(cycle)
-    return CycleStructure((cycle,), (s.paths[k],))
+    return [p for p in cycle_structure(Digraph.from_matrix(a)) if p[0] == cycle]
 
 
 class TestCyclePathGenerators:
@@ -108,8 +105,9 @@ class TestCyclePathGenerators:
         s = only_cycle(a, Cycle((1,), 1))
         gens = cycle_path_generators(a, structure=s)
         # one generator for the loop itself plus one per step of six paths
-        assert len(s.paths[0]) == 6
-        assert len(gens) == 1 + sum(len(p.nodes) - 1 for p in s.paths[0])
+        [(_, paths)] = s
+        assert len(paths) == 6
+        assert len(gens) == 1 + sum(len(p) - 1 for p in paths)
         assert gens.vectors[0] == unit(5, 1)
 
     def test_two_cycle_scaled_forms(self):
@@ -179,14 +177,22 @@ class TestTwoSidedSystem:
         a = example_matrix()
         sys5 = TwoSidedSystem.supereigen(a)
         assert sys5.dimension == 5
-        assert sys5.rows[2] == SystemRow(unit(5, 2), a[2])
+        assert sys5.rows[2] == (unit(5, 2), a[2])
         for b in example_basis_vectors():
             assert satisfies(sys5, b)
         assert not satisfies(sys5, unit(5, 0))
 
     def test_row_dimension_check(self):
         with pytest.raises(ValueError):
-            TwoSidedSystem(3, (SystemRow(unit(2, 0), unit(2, 1)),))
+            TwoSidedSystem(3, ((unit(2, 0), unit(2, 1)),))
+        with pytest.raises(ValueError):
+            TwoSidedSystem(2, ((unit(2, 0), unit(3, 1)),))
+
+    def test_row_must_be_a_pair(self):
+        e0, e1 = unit(2, 0), unit(2, 1)
+        for row in ((e0,), (e0, e1, e1)):
+            with pytest.raises(ValueError):
+                TwoSidedSystem(2, (row,))
 
 
 class TestDoubleDescription:
@@ -236,10 +242,10 @@ class TestDoubleDescription:
 
     def test_general_system_not_just_supereigen(self):
         # one row comparing two coordinates: x1 <= x2 within dimension 2
-        row = SystemRow(unit(2, 0), unit(2, 1))
-        got = double_description(TwoSidedSystem(2, (row,)))
+        lower, upper = unit(2, 0), unit(2, 1)
+        got = double_description(TwoSidedSystem(2, ((lower, upper),)))
         for v in got.vectors:
-            assert mp_dot(row.lower, v) <= mp_dot(row.upper, v)
+            assert mp_dot(lower, v) <= mp_dot(upper, v)
         # e2 survives; e1 is cut but recombines with e2 on the boundary
         assert unit(2, 1) in got.vectors
         assert vector([0, 0]) in got.vectors
@@ -462,9 +468,9 @@ class TestPrunedDoubleDescription:
         # The last row forms (-3, -4, 0) = (-3, -inf, 0) join -1 (-3, -3, 0),
         # which sorts before the point of its own support it leans on.
         rows = (
-            SystemRow(v5(0, NI, 2), v5(NI, 1, 2)),
-            SystemRow(v5(-2, 1, -2), v5(1, NI, NI)),
-            SystemRow(v5(1, NI, NI), v5(0, 0, -2)),
+            (v5(0, NI, 2), v5(NI, 1, 2)),
+            (v5(-2, 1, -2), v5(1, NI, NI)),
+            (v5(1, NI, NI), v5(0, 0, -2)),
         )
         got = double_description(TwoSidedSystem(3, rows), None, prune=True)
         assert got.vectors == (v5(-3, NI, 0), v5(-3, -3, 0))

@@ -14,9 +14,12 @@ and assert that ``check`` calls ``reference.SpanOracle``; the tracer
 patches ``SpanOracle.__init__`` and ``__call__`` and takes ``len()`` of
 the generator sets ``cycle_path_generators`` and ``double_description``
 return.  :func:`test_library_reads_the_benchmark_guard` pins those names
-here, on the ``structured`` and ``small-batch`` inputs of seed 7.
+here, on the ``structured`` and ``small-batch`` inputs of seed 7, and
+:func:`test_benchmark_imports_resolve` checks every name the benchmark
+imports from ``maxplus``.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -110,6 +113,23 @@ def test_search_runs_through_both_growth_steps(tracer, tmp_path, capsys):
     assert totals["extremals.path_extremals.calls"] == 21
     assert totals["extremals.candidates"] == 43
     assert totals["extremals.duplicates"] == 33
+
+
+def test_benchmark_imports_resolve():
+    # A library deletion must not silently break the benchmark, whose own
+    # tests this suite does not collect.
+    names = 0
+    for path in sorted([*PERFBENCH.glob("*.py"), *PERFBENCH.glob("tests/*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom) or node.level:
+                continue
+            if node.module.split(".")[0] != "maxplus":
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (path.name, alias.name)
+                names += 1
+    assert names
 
 
 def library_guard_values(text):
