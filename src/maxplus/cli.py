@@ -83,7 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_MAX_CYCLES,
             metavar="K",
             help="abort (exit 3) past K enumerated cycles, K feeder paths "
-            "of one cycle, or K dd boundary points formed [%(default)s]",
+            "of one cycle (wang2020, check), K feeder path steps walked from "
+            "one cycle (extremal), or K dd boundary points formed "
+            "[%(default)s]",
         )
         if method:
             p.add_argument(

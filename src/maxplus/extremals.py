@@ -9,19 +9,19 @@ vectors.  The search walks the matrix digraph:
   satisfies its current row.
 
 * :func:`path_extremals` extends an extremal cycle candidate backward
-  along a maximal feeder path, emitting a candidate per step and pruning
-  the whole path at the first non-extremal step.
+  over the feeder paths into its rotation's start node, as a depth-first
+  tree walk: one candidate per step, and no step below a non-extremal one.
 
 * :func:`extremal_basis` runs both over every nonnegative cycle and every
-  maximal feeder path and returns the deduplicated canonical basis.
+  extremal rotation and returns the deduplicated canonical basis.
 
 The first two grow a candidate by the double description step,
 :func:`maxplus.semiring.boundary_point`, the one ``dd`` uses: each step
 lands the vector on the boundary of one row, already scaled.  One search
 forms each step once: its calls share a memo keyed by the identity of the
 vector a step starts from, and rotations start from the shared unit
-vectors, so a step reached again by another rotation or feeder path is
-looked up.  Each memo value holds its start vector, so no key's id is
+vectors, so a step reached again by another rotation or cycle is looked
+up.  Each memo value holds its start vector, so no key's id is
 reused while the search runs.
 
 Extremality of each candidate is decided by an oracle predicate on scaled
@@ -40,13 +40,15 @@ from typing import Callable
 from .digraph import (
     DEFAULT_MAX_CYCLES,
     Cycle,
+    CycleLimitError,
     Digraph,
     max_cycle_mean,
+    nonneg_elementary_cycles,
     rotations,
 )
-# Unused here; kept so perfbench/tracer.py can patch them in this module.
-from .digraph import feeder_paths, nonneg_elementary_cycles  # noqa: F401
-from .reference import cycle_structure
+# Unused here since the search walks feeder paths as a tree; kept so
+# perfbench/tracer.py can patch it in this module.
+from .digraph import feeder_paths  # noqa: F401
 from .semiring import (
     NEG_INF, ExtReal, MpMatrix, MpVector, ScaledBasis, boundary_point, unit
 )
@@ -242,66 +244,94 @@ def cycle_terminals(
 
 def path_extremals(
     a: MpMatrix,
-    path: tuple[int, ...],
+    d: Digraph,
+    cycle: Cycle,
+    end: int,
     terminal: MpVector,
     oracle: Oracle,
     *,
     steps: dict | None = None,
-) -> list[MpVector]:
-    """Extend an extremal cycle candidate backward along a feeder path.
+    taken: int = 0,
+    max_steps: int | None = None,
+) -> tuple[list[MpVector], int]:
+    """Extend an extremal cycle candidate backward over the feeder paths
+    into ``end``, a node of ``cycle``.
 
-    ``path`` is a node tuple (l_1, ..., l_m) as
-    :func:`maxplus.digraph.feeder_paths` returns it; fewer than two nodes
-    raise ValueError.  Walking it from the cycle end inward, each step
-    absorbs the unit vector at the next node:
+    A depth-first walk from ``end`` over fresh predecessors outside the
+    cycle (``d.pred``): each tree node is a path (l_q, ..., l_m = end), a
+    suffix of some maximal feeder path of
+    :func:`maxplus.digraph.feeder_paths`, entered once.  The step into l
+    absorbs the unit vector at l:
 
         v <- v  join  (A_l (v)) (e(l))
 
     which is the boundary point of row l with v the satisfier and e(l) the
-    violator.  Stops without emitting when the node's own unit vector is
-    already a solution of its row (a self-loop of nonnegative weight), and
-    stops after the first non-extremal step; later steps of this path
-    cannot be extremal either.  Emits scaled vectors in step order.
+    violator.  A node whose own unit vector already solves its row (a
+    self-loop of nonnegative weight) is not entered, and a step the oracle
+    rejects is not extended: no longer path through either can give an
+    extremal.  Returns the scaled vectors of the accepted steps, in walk
+    order, and ``taken`` plus the number of steps walked.
 
-    ``terminal`` is the grown vector of the rotation anchored at the
-    path's endnode; any scalar multiple gives the same emissions.
+    ``terminal`` is the grown vector of the rotation anchored at ``end``;
+    any scalar multiple gives the same emissions.  ``taken`` counts the
+    steps earlier walks of the same cycle took; the step that would pass
+    ``max_steps`` raises CycleLimitError.
 
     ``steps`` is the step memo of one search (see :func:`extremal_basis`),
     keyed ``(id(v), l)`` with value ``(v, grown)``; None means a fresh
-    memo for this call.  Feeder paths that share a suffix from the same
-    terminal form its steps once; the oracle still sees every emission.
+    memo for this call.  Walks from the same terminal, in other cycles,
+    form their shared steps once; the oracle still sees every step.
     """
-    if len(path) < 2:
-        raise ValueError("feeder path needs at least two nodes")
+    if end not in cycle.nodes:
+        raise ValueError(f"walk start {end} is not a node of the cycle")
     if steps is None:
         steps = {}
     n = len(a)
-    v = terminal
     out: list[MpVector] = []
-    for q in range(len(path) - 2, -1, -1):
-        node = path[q]
-        loop = a[node][node]
+    # The cycle's nodes and those on the current path are never entered.
+    # Each frame is (node, its grown vector, its fresh predecessors not
+    # yet tried).
+    used = set(cycle.nodes)
+    stack = [(end, terminal, [u for u in d.pred[end] if u not in used])]
+    while stack:
+        node, v, untried = stack[-1]
+        if not untried:
+            stack.pop()
+            used.discard(node)
+            continue
+        u = untried.pop()
+        loop = a[u][u]
         if loop is not NEG_INF and loop >= 0:
-            break
-        key = (id(v), node)
+            continue
+        if max_steps is not None and taken >= max_steps:
+            raise CycleLimitError(
+                f"more than {max_steps} feeder path steps from one cycle; "
+                "raise the cap to proceed"
+            )
+        taken += 1
+        key = (id(v), u)
         hit = steps.get(key)
         if hit is None:
-            grown = boundary_point(v, 0, unit(n, node), a.row_apply(node, v))
+            grown = boundary_point(v, 0, unit(n, u), a.row_apply(u, v))
             hit = steps[key] = (v, grown)
         v = hit[1]
         if not oracle(v):
-            break
+            continue
         out.append(v)
-    return out
+        used.add(u)
+        stack.append((u, v, [p for p in d.pred[u] if p not in used]))
+    return out, taken
 
 
 @dataclass(frozen=True)
 class SearchStats:
     """Work counters for one basis search.
 
-    ``candidates`` counts oracle-accepted emissions with multiplicity;
-    ``duplicates`` is how many of those repeated an earlier emission.
-    Both are independent of traversal order.
+    ``paths`` counts the feeder path steps walked (see
+    :func:`path_extremals`); ``candidates`` counts oracle-accepted
+    emissions, extremal rotation terminals and accepted steps, with
+    multiplicity; ``duplicates`` is how many of those repeated an earlier
+    emission.  All are independent of traversal order.
     """
 
     cycles: int
@@ -335,39 +365,48 @@ def extremal_basis(
     and returns the full enumeration instead (a generating set, usually
     redundant).
 
-    The cycles and feeder paths are enumerated once, by
-    :func:`maxplus.reference.cycle_structure` on the digraph Karp reads.
-    The default oracle is a :class:`TangentOracle`, which reads only A and
-    the candidate.  Cycles are searched one after another, in cycle order.
+    The cycles are enumerated once, by
+    :func:`maxplus.digraph.nonneg_elementary_cycles` on the digraph Karp
+    reads; the feeder paths are walked as a tree from each extremal
+    rotation, never listed.  ``max_cycles`` caps the cycles and the feeder
+    path steps of each cycle; exceeding it raises CycleLimitError.  The
+    default oracle is a :class:`TangentOracle`, which reads only A and the
+    candidate.  Cycles are searched one after another, in cycle order.
     Every :func:`cycle_terminals` and :func:`path_extremals` call of one
     search shares one step memo, so each growth step is formed once; the
-    oracle is still asked about every candidate, in the same order.
+    oracle is still asked about every candidate, in the same order.  Only
+    the distinct emissions are kept, the first of equal ones.
     """
     d = Digraph.from_matrix(a)
     lam = max_cycle_mean(d)
     solvable = lam >= 0
     if not solvable:
         return BasisResult(ScaledBasis(()), lam, False, SearchStats(0, 0, 0, 0))
-    structure = cycle_structure(d, max_cycles)
+    cycles = nonneg_elementary_cycles(d, max_cycles)
     if oracle is None:
         oracle = TangentOracle(a)
     steps: dict = {}
-    pool: list[MpVector] = []
-    for cycle, paths in structure:
-        runs = cycle_terminals(a, cycle, oracle, steps=steps)
-        pool.extend(r.scaled for r in runs.values() if r.extremal)
-        for path in paths:
-            run = runs[path[-1]]
-            if run.extremal:
-                pool.extend(
-                    path_extremals(a, path, run.scaled, oracle, steps=steps)
-                )
-    basis = ScaledBasis(pool)
+    found: set[MpVector] = set()
+    candidates = walked = 0
+    for cycle in cycles:
+        taken = 0
+        for end, run in cycle_terminals(a, cycle, oracle, steps=steps).items():
+            if not run.extremal:
+                continue
+            out, taken = path_extremals(
+                a, d, cycle, end, run.scaled, oracle,
+                steps=steps, taken=taken, max_steps=max_cycles,
+            )
+            found.add(run.scaled)
+            found.update(out)
+            candidates += 1 + len(out)
+        walked += taken
+    basis = ScaledBasis(found)
     stats = SearchStats(
-        cycles=len(structure),
-        paths=sum(len(paths) for _, paths in structure),
-        candidates=len(pool),
-        duplicates=len(pool) - len(basis),
+        cycles=len(cycles),
+        paths=walked,
+        candidates=candidates,
+        duplicates=candidates - len(basis),
     )
     return BasisResult(basis, lam, True, stats)
 

@@ -98,7 +98,8 @@ def cycle_structure(
 
     Returns one ``(cycle, paths)`` pair per nonnegative elementary cycle,
     in cycle order, ``paths`` its :func:`maxplus.digraph.feeder_paths`.
-    This is the one walk every cycle-based route makes over a matrix.
+    This is the one walk the closed form and :class:`SpanOracle` make over
+    a matrix; the ``extremal`` search walks feeder paths as a tree instead.
     ``max_cycles`` caps the cycle enumeration and each cycle's path
     enumeration; exceeding it raises CycleLimitError.
     """

@@ -128,9 +128,11 @@ def test_c3_walkthrough_traces():
     terminal = cycle_terminals(a, loop, oracle)[1].scaled
 
     def trace_for(nodes):
+        # the walk over this path's arcs alone is the walk along the path
         assert nodes in feeder_paths(d, loop, None)
+        alone = Digraph(5, {(u, v): a[u][v] for u, v in zip(nodes, nodes[1:])})
         steps = []
-        path_extremals(a, nodes, terminal, recording(oracle, steps))
+        path_extremals(a, alone, loop, 1, terminal, recording(oracle, steps))
         return steps
 
     ni = NEG_INF
@@ -154,6 +156,13 @@ def test_c3_walkthrough_traces():
         (vector([ni, 0, ni, -9, -2]), True),
         (vector([ni, 0, 0, -9, -2]), False),
     ]
+    # the walk over the whole digraph takes each of these steps once,
+    # among the 14 distinct suffixes of the six feeder paths it enters
+    walked = []
+    path_extremals(a, d, loop, 1, terminal, recording(oracle, walked))
+    assert len(walked) == len(set(walked)) == 14
+    for nodes in ((4, 2, 3, 0, 1), (4, 3, 2, 1), (2, 3, 4, 1)):
+        assert set(trace_for(nodes)) <= set(walked)
 
 
 @criterion("c4", "200 random matrices: three routes agree, generators spanned, < 5 min")
@@ -208,6 +217,16 @@ def test_c10_random_n12_agreement():
         assert search == pruned_dd_basis(a), a
         admitted += 1
     assert admitted == 23
+
+
+@criterion("c11", "search equals pruned dd on random n=14 (s = 7, 9, 11) and n=16 (s = 11)")
+def test_c11_random_n14_n16_agreement():
+    # The sizes the feeder path walk changes most; the cases are fixed in
+    # advance.  The closed form (wang2020) is left out: at n=14, s=7 it
+    # has about 190k generators.
+    for n, seed in ((14, 7), (14, 9), (14, 11), (16, 11)):
+        a = rand_matrix(random.Random(seed), n, neg_inf_p=0.7)
+        assert extremal_basis(a).basis == pruned_dd_basis(a), (n, seed)
 
 
 @criterion("c5", "soundness: 1000 member checks and 1000 join checks")

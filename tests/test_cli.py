@@ -121,7 +121,9 @@ class TestBasis:
                 [0, -1, None, None, None],
                 [0, -1, None, None, -2],
             ],
-            "stats": {"cycles": 4, "paths": 21, "candidates": 43, "duplicates": 33},
+            # paths counts the feeder path walk's steps, candidates its
+            # accepted emissions (rotation terminals and steps)
+            "stats": {"cycles": 4, "paths": 41, "candidates": 36, "duplicates": 26},
         }
 
     def test_json_stats_by_method(self, example_file, capsys):
@@ -195,7 +197,11 @@ class TestBasis:
         assert capsys.readouterr().out == BASIS_BLOB
         assert len(calls["nonneg_elementary_cycles"]) == 1
         walked = sorted(args[1].nodes for args in calls["feeder_paths"])
-        assert walked == [(0, 1), (0, 1, 2, 3), (1,), (1, 2)]
+        if method == "extremal":
+            # the search walks the feeder paths as a tree and lists none
+            assert walked == []
+        else:
+            assert walked == [(0, 1), (0, 1, 2, 3), (1,), (1, 2)]
 
     @pytest.mark.parametrize("method", ["extremal", "wang2020", "dd"])
     def test_one_digraph_per_route(self, example_file, capsys, monkeypatch, method):
@@ -308,7 +314,7 @@ class TestVerify:
         out = capsys.readouterr()
         assert out.out == (
             "OK: 3 methods agree, |basis|=10\n"
-            "stats: cycles=4 paths=21 candidates=43 duplicates=33\n"
+            "stats: cycles=4 paths=41 candidates=36 duplicates=26\n"
         )
         assert out.err == ""
 
@@ -360,6 +366,22 @@ class TestExitCodes:
         f = write(tmp_path, ALL_ZEROS_3)
         assert cli.main(["basis", f, "--max-cycles", "2"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,steps", [("basis", 14), ("generators", 16)])
+    def test_feeder_path_step_cap(self, example_file, capsys, command, steps):
+        # The example's ten elementary cycles fit under either cap.  The
+        # walks of the loop at node 2 take the most steps of one cycle: 14
+        # pruned by the oracle, 16 unpruned for the generating set.
+        argv = [command, example_file, "--method", "extremal", "--max-cycles"]
+        assert cli.main([*argv, str(steps)]) == 0
+        assert capsys.readouterr().out
+        assert cli.main([*argv, str(steps - 1)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: more than {steps - 1} feeder path steps from one cycle; "
+            "raise the cap to proceed\n"
+        )
 
     def test_dd_pair_cap_on_long_chain(self, tmp_path, capsys):
         # Without the cap dd forms about 36,000 pairs here, each of

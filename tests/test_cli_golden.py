@@ -12,6 +12,9 @@ complete digraphs, zero-weight critical cycles, ``--lambda`` shifts,
 To rebuild the file (only when an output change is intended):
 
     PYTHONPATH=src:tests python tests/test_cli_golden.py
+
+Before it writes, the rebuild prints each call whose exit code or stdout
+differs from the file on disk, then their count.
 """
 
 from __future__ import annotations
@@ -133,6 +136,32 @@ def build(tmp: Path) -> list[dict]:
     return cases
 
 
+def changed_calls(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per call of ``new`` whose exit code or stdout differs from
+    the same case and argv in ``old``, or that ``old`` lacks."""
+    before = {
+        (case["name"], tuple(call["argv"])): call
+        for case in old
+        for call in case["calls"]
+    }
+    lines = []
+    for case in new:
+        for call in case["calls"]:
+            was = before.get((case["name"], tuple(call["argv"])))
+            if was is None:
+                what = "new call"
+            else:
+                what = " and ".join(
+                    label
+                    for key, label in (("exit", "exit code"), ("stdout", "stdout"))
+                    if was[key] != call[key]
+                )
+                what = what and what + " changed"
+            if what:
+                lines.append(f"{case['name']}: {' '.join(call['argv'])}: {what}")
+    return lines
+
+
 def _golden() -> list[dict]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
@@ -148,6 +177,29 @@ def test_stdout_and_exit_code_match(case, tmp_path):
         assert (have["exit"], have["stdout"]) == (want["exit"], want["stdout"]), want["argv"]
 
 
+def test_changed_calls_names_each_difference():
+    call = {"argv": ["lambda", "FILE"], "exit": 0, "stdout": "1\n"}
+    old = [{"name": "m", "matrix": "1\n", "calls": [call]}]
+    same = [{"name": "m", "matrix": "1\n", "calls": [dict(call)]}]
+    assert changed_calls(old, same) == []
+    new = [
+        {
+            "name": "m",
+            "matrix": "1\n",
+            "calls": [
+                {**call, "exit": 3, "stdout": ""},
+                {"argv": ["cycles", "FILE"], "exit": 0, "stdout": ""},
+            ],
+        }
+    ]
+    assert changed_calls(old, new) == [
+        "m: lambda FILE: exit code and stdout changed",
+        "m: cycles FILE: new call",
+    ]
+    new[0]["calls"][0]["exit"] = 0
+    assert changed_calls(old, new)[0] == "m: lambda FILE: stdout changed"
+
+
 def test_golden_covers_every_subcommand():
     cases = _golden()
     assert len(cases) >= 30
@@ -161,6 +213,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         data = build(Path(tmp) / "m.txt")
+    changed = changed_calls(_golden() if GOLDEN.exists() else [], data)
+    for line in changed:
+        print(line)
+    print(f"{len(changed)} calls changed")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(data)} cases to {GOLDEN}")

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus import (
     Cycle,
@@ -16,10 +18,10 @@ from maxplus import (
     TangentOracle,
     always_extremal,
     cycle_path_generators,
-    cycle_structure,
     cycle_terminals,
     extremal_basis,
     extremal_filter,
+    feeder_paths,
     format_vector,
     generator_enumeration,
     in_supereig,
@@ -38,6 +40,7 @@ from support import (
     NI,
     block_triangular,
     brute_cycle_terminals,
+    brute_feeder_paths,
     brute_in_span,
     brute_join,
     brute_path_extremals,
@@ -170,12 +173,30 @@ class TestCycleTerminals:
             cycle_terminals(example_matrix(), Cycle((0, 2), 0), always_extremal)
 
 
+def path_digraph(a, path):
+    """The digraph of one feeder path's arcs: the walk from its end is it."""
+    return Digraph(len(a), {(u, v): a[u][v] for u, v in zip(path, path[1:])})
+
+
+def walk_path(a, path, terminal, oracle, cycle=None):
+    """path_extremals along one feeder path: (emissions, steps walked).
+
+    ``cycle`` defaults to a loop at the path's end; the walk reads only its
+    node set.
+    """
+    cycle = cycle or Cycle((path[-1],), 0)
+    return path_extremals(
+        a, path_digraph(a, path), cycle, path[-1], terminal, oracle
+    )
+
+
 class TestPathExtremals:
     def trace(self, a, path, terminal, oracle=None):
         steps = []
-        out = path_extremals(
+        out, taken = walk_path(
             a, path, terminal, recording(oracle or SpanOracle(a), steps)
         )
+        assert taken == len(steps)
         return out, steps
 
     def test_longest_path_prunes_at_step_four(self):
@@ -240,10 +261,64 @@ class TestPathExtremals:
         out, steps = self.trace(a, (0, 1), unit(2, 1), always_extremal)
         assert out == [] and steps == []
 
-    def test_rejects_single_node(self):
+    def test_tree_walk_of_the_worked_example_loop(self):
+        # The six feeder paths of the loop at node 2 share suffixes: the
+        # walk enters each distinct suffix once, in depth-first order from
+        # the largest predecessor, and none below a rejected step (14 of
+        # the 16; the unpruned walk takes all 16).
+        a = example_matrix()
+        d = Digraph.from_matrix(a)
+        loop = Cycle((1,), 1)
+        assert len(feeder_paths(d, loop, None)) == 6
+        steps = []
+        out, taken = path_extremals(
+            a, d, loop, 1, unit(5, 1), recording(SpanOracle(a), steps)
+        )
+        assert steps == [
+            (v5(NI, 0, NI, NI, -2), True),  # 5 2
+            (v5(NI, 0, NI, -9, -2), True),  # 4 5 2
+            (v5(NI, 0, 0, -9, -2), False),  # 3 4 5 2
+            (v5(NI, 0, 0, NI, NI), True),  # 3 2
+            (v5(NI, 0, 0, NI, -2), False),  # 5 3 2
+            (v5(NI, 0, 0, -5, NI), True),  # 4 3 2
+            (v5(NI, 0, 0, -5, -2), False),  # 5 4 3 2
+            (v5(0, -1, NI, NI, NI), True),  # 1 2
+            (v5(0, -1, NI, NI, -2), True),  # 5 1 2
+            (v5(-1, -2, NI, 0, -3), False),  # 4 5 1 2
+            (v5(-1, -2, NI, 0, NI), True),  # 4 1 2
+            (v5(-2, -3, NI, -1, 0), True),  # 5 4 1 2
+            (v5(-3, -4, 0, -2, NI), True),  # 3 4 1 2
+            (v5(-3, -4, 0, -2, -1), False),  # 5 3 4 1 2
+        ]
+        assert taken == 14
+        assert out == [v for v, ok in steps if ok]
+
+    def test_step_cap_counts_across_walks(self):
+        a = example_matrix()
+        d = Digraph.from_matrix(a)
+        loop = Cycle((1,), 1)
+
+        def walk(**kwargs):
+            return path_extremals(a, d, loop, 1, unit(5, 1), always_extremal, **kwargs)
+
+        out, taken = walk()
+        assert taken == 16 and len(out) == 16  # every suffix, unpruned
+        assert walk(max_steps=16)[1] == 16
+        assert walk(taken=5, max_steps=21)[1] == 21
+        with pytest.raises(CycleLimitError, match="more than 15 feeder path steps"):
+            walk(max_steps=15)
+        with pytest.raises(CycleLimitError, match="more than 20 "):
+            walk(taken=5, max_steps=20)
+
+    def test_rejects_start_off_the_cycle(self):
         with pytest.raises(ValueError):
             path_extremals(
-                example_matrix(), (1,), unit(5, 1), always_extremal
+                example_matrix(),
+                Digraph.from_matrix(example_matrix()),
+                Cycle((1,), 1),
+                0,
+                unit(5, 0),
+                always_extremal,
             )
 
 
@@ -276,8 +351,10 @@ class TestGrowthMatchesBrute:
     def test_same_runs_and_emissions(self, kind):
         runs = steps = 0
         for a in growth_cases():
+            d = Digraph.from_matrix(a)
             try:
-                structure = cycle_structure(Digraph.from_matrix(a), 2000)
+                cycles = nonneg_elementary_cycles(d, 2000)
+                structure = [(c, feeder_paths(d, c, 2000)) for c in cycles]
             except CycleLimitError:
                 continue
             oracle = always_extremal if kind == "always" else TangentOracle(a)
@@ -292,8 +369,9 @@ class TestGrowthMatchesBrute:
                     runs += 1
                 for path in paths:
                     trace = []
-                    out = path_extremals(
-                        a, path, got[path[-1]].scaled, recording(oracle, trace)
+                    out, _ = walk_path(
+                        a, path, got[path[-1]].scaled, recording(oracle, trace),
+                        cycle,
                     )
                     # the brute loop starts from the unscaled grown vector
                     want_out, want_trace = brute_path_extremals(
@@ -308,6 +386,46 @@ class TestGrowthMatchesBrute:
         assert runs > 2000 and steps > 5000
 
 
+entries = st.one_of(
+    st.just(NI),
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    return MpMatrix.from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.sampled_from(["always", "tangent"]))
+def test_walk_emits_the_union_of_its_feeder_paths(a, kind):
+    """The tree walk from each rotation against every maximal feeder path
+    into its start, each walked alone by the brute loop."""
+    oracle = always_extremal if kind == "always" else TangentOracle(a)
+    d = Digraph.from_matrix(a)
+    for cycle in nonneg_elementary_cycles(d, None):
+        paths = brute_feeder_paths(a, cycle.nodes)
+        for end, run in cycle_terminals(a, cycle, oracle).items():
+            out, taken = path_extremals(a, d, cycle, end, run.scaled, oracle)
+            emitted, walked, accepted = set(), set(), set()
+            for p in paths:
+                if p[-1] != end:
+                    continue
+                want_out, trace = brute_path_extremals(a, p, run.scaled, oracle)
+                emitted.update(want_out)
+                # trace step k (from 0) enters the suffix p[len(p) - 2 - k:]
+                suffixes = [p[len(p) - 2 - k:] for k in range(len(trace))]
+                walked.update(suffixes)
+                accepted.update(suffixes[: len(want_out)])
+            assert set(out) == emitted
+            assert len(out) == len(accepted)
+            assert taken == len(walked)
+
+
 class TestExtremalBasis:
     def test_worked_example(self):
         a = example_matrix()
@@ -315,7 +433,8 @@ class TestExtremalBasis:
         assert r.solvable
         assert list(r.basis) == sorted(example_basis_vectors())
         assert r.stats.cycles == 4
-        assert r.stats.paths == 21
+        assert r.stats.paths == 41  # the walk steps of the nine extremal rotations
+        assert r.stats.candidates == 36
         assert r.stats.candidates - r.stats.duplicates == 10
         assert r.stats.duplicates >= 0
 
@@ -421,22 +540,18 @@ def fraction_7() -> MpMatrix:
 
 def memo_free_search(a, oracle, max_cycles):
     """extremal_basis's loop with each growth call on a fresh step memo."""
-    structure = cycle_structure(Digraph.from_matrix(a), max_cycles)
-    pool = []
-    for cycle, paths in structure:
-        runs = cycle_terminals(a, cycle, oracle)
-        pool.extend(r.scaled for r in runs.values() if r.extremal)
-        for path in paths:
-            run = runs[path[-1]]
+    d = Digraph.from_matrix(a)
+    cycles = nonneg_elementary_cycles(d, max_cycles)
+    pool, walked = [], 0
+    for cycle in cycles:
+        for end, run in cycle_terminals(a, cycle, oracle).items():
             if run.extremal:
-                pool.extend(path_extremals(a, path, run.scaled, oracle))
+                out, walked = path_extremals(
+                    a, d, cycle, end, run.scaled, oracle, taken=walked
+                )
+                pool += [run.scaled, *out]
     basis = ScaledBasis(pool)
-    stats = SearchStats(
-        len(structure),
-        sum(len(paths) for _, paths in structure),
-        len(pool),
-        len(pool) - len(basis),
-    )
+    stats = SearchStats(len(cycles), walked, len(pool), len(pool) - len(basis))
     return basis, stats
 
 
@@ -485,7 +600,7 @@ class TestSharedSteps:
 
     def test_example_forms_fewer_boundary_points(self, monkeypatch):
         shared, free = self.boundary_points(monkeypatch, example_matrix())
-        assert free == 56
+        assert free == 49
         assert shared < free
 
     def test_random_forms_under_a_fifth(self, monkeypatch):

@@ -107,12 +107,13 @@ def test_search_runs_through_both_growth_steps(tracer, tmp_path, capsys):
         restore()
     capsys.readouterr()
     totals = t.totals()
-    # one call per cycle and per feeder path: the shared step memo skips
-    # formed steps, not the calls the benchmark times
+    # one call per cycle and per extremal rotation (all nine here), each
+    # walking that rotation's feeder paths as a tree: the shared step memo
+    # skips formed steps, not the calls the benchmark times
     assert totals["extremals.cycle_terminals.calls"] == 4
-    assert totals["extremals.path_extremals.calls"] == 21
-    assert totals["extremals.candidates"] == 43
-    assert totals["extremals.duplicates"] == 33
+    assert totals["extremals.path_extremals.calls"] == 9
+    assert totals["extremals.candidates"] == 36
+    assert totals["extremals.duplicates"] == 26
 
 
 def test_benchmark_imports_resolve():
