@@ -16,11 +16,9 @@ from .digraph import (
     feeder_paths,
     max_cycle_mean,
     nonneg_elementary_cycles,
-    rotations,
 )
 from .extremals import (
     BasisResult,
-    RotationRun,
     SearchStats,
     TangentOracle,
     always_extremal,
@@ -86,7 +84,6 @@ __all__ = [
     "MpMatrix",
     "MpVector",
     "NEG_INF",
-    "RotationRun",
     "ScaledBasis",
     "SearchStats",
     "SpanOracle",
@@ -117,7 +114,6 @@ __all__ = [
     "path_extremals",
     "render_matrix",
     "residual",
-    "rotations",
     "row_satisfied",
     "support_masks",
     "unit",

@@ -72,18 +72,6 @@ class Digraph:
         return (i, j) in self._weights
 
 
-def cycle_weight(d: Digraph, nodes: tuple[int, ...]) -> ExtReal:
-    """Total arc weight around an elementary cycle given by its node tuple."""
-    total: ExtReal = 0
-    for k, u in enumerate(nodes):
-        v = nodes[(k + 1) % len(nodes)]
-        w = d.weight(u, v)
-        if w is NEG_INF:
-            raise ValueError(f"missing arc {u} -> {v}")
-        total = total + w
-    return total
-
-
 def nonneg_elementary_cycles(
     d: Digraph, max_cycles: int | None = DEFAULT_MAX_CYCLES
 ) -> list[Cycle]:
@@ -95,14 +83,13 @@ def nonneg_elementary_cycles(
     """
     out = []
     seen = 0
-    for nodes in _circuits(d):
+    for nodes, w in _circuits(d):
         seen += 1
         if max_cycles is not None and seen > max_cycles:
             raise CycleLimitError(
                 f"more than {max_cycles} elementary cycles; "
                 "raise the cap to proceed"
             )
-        w = cycle_weight(d, nodes)
         if w >= 0:
             out.append(Cycle(nodes, w))
     out.sort(key=lambda c: c.nodes)
@@ -160,39 +147,47 @@ def _cyclic_components(d: Digraph, first: int = 0) -> list[list[int]]:
     return comps
 
 
-def _circuits(d: Digraph) -> Iterator[tuple[int, ...]]:
-    """Johnson's search: every elementary circuit once, from its least node.
+def _circuits(d: Digraph) -> Iterator[tuple[tuple[int, ...], ExtReal]]:
+    """Johnson's search: every elementary circuit once, from its least node,
+    with its total arc weight.
 
     The circuits whose least node is s lie in the strongly connected
     component of s on the nodes >= s, so s jumps to the least node of a
     component with a cycle.  A node stays blocked while every path from
     it back to s meets the current path; ``waiting[u]`` holds the nodes
-    to unblock when u is unblocked.
+    to unblock when u is unblocked.  ``weights[k]`` weighs ``path[:k + 1]``,
+    summed in arc order from 0, so it has the type a left fold would give.
     """
     s = 0
     while comps := _cyclic_components(d, s):
         comp = min(comps, key=min)
         s = min(comp)
         inside = set(comp)
-        succ = {v: [w for w in d.succ[v] if w in inside] for v in comp}
+        succ = {
+            v: [(w, d.weight(v, w)) for w in d.succ[v] if w in inside]
+            for v in comp
+        }
         blocked = {s}
         waiting: dict[int, set[int]] = {v: set() for v in comp}
         path = [s]
+        weights: list[ExtReal] = [0]
         work = [iter(succ[s])]
         closed = [False]
         while work:
-            for w in work[-1]:
+            for w, c in work[-1]:
                 if w == s:
-                    yield tuple(path)
+                    yield tuple(path), weights[-1] + c
                     closed[-1] = True
                 elif w not in blocked:
                     path.append(w)
+                    weights.append(weights[-1] + c)
                     blocked.add(w)
                     work.append(iter(succ[w]))
                     closed.append(False)
                     break
             else:
                 work.pop()
+                weights.pop()
                 v = path.pop()
                 if closed.pop():
                     if closed:
@@ -205,17 +200,9 @@ def _circuits(d: Digraph) -> Iterator[tuple[int, ...]]:
                             todo.extend(waiting[u])
                             waiting[u].clear()
                 else:
-                    for w in succ[v]:
+                    for w, _ in succ[v]:
                         waiting[w].add(v)
         s += 1
-
-
-def rotations(cycle: Cycle) -> list[Cycle]:
-    """The t rotations of a length-t cycle, each anchored at a different node."""
-    nodes = cycle.nodes
-    return [
-        Cycle(nodes[r:] + nodes[:r], cycle.weight) for r in range(len(nodes))
-    ]
 
 
 def feeder_paths(

@@ -6,7 +6,8 @@ vectors.  The search walks the matrix digraph:
 
 * :func:`cycle_terminals` grows one candidate per rotation of a
   nonnegative elementary cycle, stopping as soon as the grown vector
-  satisfies its current row.
+  satisfies its current row, and returns the scaled terminals the oracle
+  accepts, as plain vectors by start node.
 
 * :func:`path_extremals` extends an extremal cycle candidate backward
   over the feeder paths into its rotation's start node, as a depth-first
@@ -44,7 +45,6 @@ from .digraph import (
     Digraph,
     max_cycle_mean,
     nonneg_elementary_cycles,
-    rotations,
 )
 # Unused here since the search walks feeder paths as a tree; kept so
 # perfbench/tracer.py can patch it in this module.
@@ -172,24 +172,9 @@ class TangentOracle:
         return True
 
 
-@dataclass(frozen=True)
-class RotationRun:
-    """Outcome of growing one rotation of a cycle.
-
-    ``steps`` counts grow steps actually taken (0 to t-1); the run stops
-    early as soon as the current vector satisfies its current row.
-    ``scaled`` is the grown vector, scaled, and ``extremal`` the oracle's
-    verdict on it.
-    """
-
-    steps: int
-    scaled: MpVector
-    extremal: bool
-
-
 def cycle_terminals(
     a: MpMatrix, cycle: Cycle, oracle: Oracle, *, steps: dict | None = None
-) -> dict[int, RotationRun]:
+) -> dict[int, MpVector]:
     """Grow a solution along every rotation of a nonnegative cycle.
 
     For rotation (j_1, ..., j_t) the candidate starts as the unit vector
@@ -201,8 +186,10 @@ def cycle_terminals(
     which is the boundary point of row j_p with e(j_{p+1}) the satisfier
     and v the violator.  The loop always ends in a solution: either a row
     check succeeded early, or all t-1 steps ran and the cycle's
-    nonnegative weight closes the final row.  Returns the run of each
-    rotation by its start node, in rotation order.
+    nonnegative weight closes the final row.  Each step adds one node to
+    the support, so a terminal with s finite entries took s-1 steps.  The
+    oracle is asked about every terminal, in rotation order; the scaled
+    terminals it accepts are returned by start node, in that order.
 
     ``steps`` is the step memo of one search (see :func:`extremal_basis`),
     keyed ``(id(v), j_p, j_{p+1})`` with value ``(v, grown)``, ``grown``
@@ -215,11 +202,10 @@ def cycle_terminals(
     if steps is None:
         steps = {}
     n = len(a)
-    runs: dict[int, RotationRun] = {}
-    for rot in rotations(cycle):
-        nodes = rot.nodes
+    out: dict[int, MpVector] = {}
+    for r in range(len(cycle.nodes)):
+        nodes = cycle.nodes[r:] + cycle.nodes[:r]
         v = unit(n, nodes[0])
-        taken = 0
         for node, nxt in zip(nodes, nodes[1:]):
             key = (id(v), node, nxt)
             hit = steps.get(key)
@@ -237,9 +223,9 @@ def cycle_terminals(
             if hit[1] is None:
                 break
             v = hit[1]
-            taken += 1
-        runs[nodes[0]] = RotationRun(taken, v, oracle(v))
-    return runs
+        if oracle(v):
+            out[nodes[0]] = v
+    return out
 
 
 def path_extremals(
@@ -390,14 +376,12 @@ def extremal_basis(
     candidates = walked = 0
     for cycle in cycles:
         taken = 0
-        for end, run in cycle_terminals(a, cycle, oracle, steps=steps).items():
-            if not run.extremal:
-                continue
+        for end, x in cycle_terminals(a, cycle, oracle, steps=steps).items():
             out, taken = path_extremals(
-                a, d, cycle, end, run.scaled, oracle,
+                a, d, cycle, end, x, oracle,
                 steps=steps, taken=taken, max_steps=max_cycles,
             )
-            found.add(run.scaled)
+            found.add(x)
             found.update(out)
             candidates += 1 + len(out)
         walked += taken

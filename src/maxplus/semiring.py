@@ -286,17 +286,14 @@ def boundary_point(
         raise DimensionError(
             f"boundary point of vectors of dimension {len(v)} and {len(w)}"
         )
-    if up_v is NEG_INF:
-        z = [a if a is NEG_INF else lo_w + a for a in v]
-    else:
-        z = [
-            (b if b is NEG_INF else up_v + b)
-            if a is NEG_INF
-            else lo_w + a
-            if b is NEG_INF
-            else (x if (x := lo_w + a) >= (y := up_v + b) else y)
-            for a, b in zip(v, w)
-        ]
+    z = [
+        (b if b is NEG_INF else up_v + b)
+        if a is NEG_INF
+        else lo_w + a
+        if b is NEG_INF
+        else (x if (x := lo_w + a) >= (y := up_v + b) else y)
+        for a, b in zip(v, w)
+    ]
     return _top_at_zero(z)
 
 

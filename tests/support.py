@@ -28,7 +28,6 @@ from maxplus import (
     parse_matrix,
     parse_vector,
     residual,
-    rotations,
     row_satisfied,
     unit,
 )
@@ -483,8 +482,8 @@ def brute_cycle_terminals(a: MpMatrix, cycle, oracle) -> dict:
     """start node -> (steps, unscaled grown vector, scaled form, verdict)."""
     n = len(a)
     runs = {}
-    for rot in rotations(cycle):
-        nodes = rot.nodes
+    for r in range(len(cycle.nodes)):
+        nodes = cycle.nodes[r:] + cycle.nodes[:r]
         t = len(nodes)
         v = unit(n, nodes[0])
         steps = 0

@@ -14,7 +14,6 @@ from maxplus import (
     feeder_paths,
     max_cycle_mean,
     nonneg_elementary_cycles,
-    rotations,
 )
 from support import (
     NI,
@@ -23,6 +22,7 @@ from support import (
     brute_feeder_paths,
     brute_max_cycle_mean,
     example_matrix,
+    fractional_matrix,
     mk,
     rand_matrix,
 )
@@ -82,9 +82,15 @@ class TestCycleEnumeration:
         assert [(c.nodes, c.weight) for c in got] == [((0, 1), 0)]
 
     def test_matches_brute_force(self):
+        # the fractional draws check that each weight keeps the type of a
+        # left fold over its arcs: a Fraction once any arc is one
         rng = random.Random(333)
-        for _ in range(40):
-            a = rand_matrix(rng, rng.randint(1, 6), neg_inf_p=0.45)
+        cases = [
+            rand_matrix(rng, rng.randint(1, 6), neg_inf_p=0.45)
+            for _ in range(40)
+        ]
+        cases += [fractional_matrix(rng, rng.randint(1, 6)) for _ in range(300)]
+        for a in cases:
             want = {
                 nodes
                 for nodes in brute_elementary_cycles(a)
@@ -94,6 +100,7 @@ class TestCycleEnumeration:
             assert {c.nodes for c in got} == want
             for c in got:
                 assert c.weight == brute_cycle_weight(a, c.nodes)
+                assert type(c.weight) is type(brute_cycle_weight(a, c.nodes))
                 assert c.nodes[0] == min(c.nodes)
                 assert len(set(c.nodes)) == len(c.nodes)
             assert [c.nodes for c in got] == sorted(c.nodes for c in got)
@@ -121,23 +128,6 @@ class TestCycleEnumeration:
 
     def test_cap_none_means_unbounded(self):
         assert len(cycles_of(example_matrix(), None)) == 4
-
-
-class TestRotations:
-    def test_four_rotations(self):
-        c = Cycle((0, 1, 2, 3), 5)
-        rots = rotations(c)
-        assert [r.nodes for r in rots] == [
-            (0, 1, 2, 3),
-            (1, 2, 3, 0),
-            (2, 3, 0, 1),
-            (3, 0, 1, 2),
-        ]
-        assert all(r.weight == 5 for r in rots)
-        assert all(set(r.nodes) == set(c.nodes) for r in rots)
-
-    def test_loop_has_one(self):
-        assert [r.nodes for r in rotations(Cycle((2,), 1))] == [(2,)]
 
 
 class TestFeederPaths:

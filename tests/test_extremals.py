@@ -28,7 +28,6 @@ from maxplus import (
     is_extremal,
     nonneg_elementary_cycles,
     path_extremals,
-    rotations,
     row_satisfied,
     unit,
     vector,
@@ -108,35 +107,55 @@ class TestCombineRow:
                     assert row_satisfied(a, i, combine_row(a, i, x, y))
 
 
+def steps_taken(terminal):
+    """Growth steps behind a rotation terminal: each one adds a node."""
+    return sum(e is not NI for e in terminal) - 1
+
+
 class TestCycleTerminals:
     def test_loop(self):
         a = example_matrix()
         run = cycle_terminals(a, Cycle((1,), 1), always_extremal)
         assert list(run) == [1]
-        r = run[1]
-        assert r.steps == 0
-        assert r.scaled == unit(5, 1)
+        assert run[1] == unit(5, 1)
+        assert steps_taken(run[1]) == 0
 
     def test_two_cycle(self):
         a = example_matrix()
         by_start = cycle_terminals(a, Cycle((0, 1), 2), always_extremal)
         assert list(by_start) == [0, 1]  # rotation order
-        assert by_start[0].steps == 1
-        assert by_start[0].scaled == v5(0, -1, NI, NI, NI)
-        assert by_start[1].scaled == unit(5, 1)  # stopped before growing
-        assert by_start[1].steps == 0
+        assert steps_taken(by_start[0]) == 1
+        assert by_start[0] == v5(0, -1, NI, NI, NI)
+        assert by_start[1] == unit(5, 1)  # stopped before growing
+        assert steps_taken(by_start[1]) == 0
 
     def test_four_cycle(self):
         a = example_matrix()
         by_start = cycle_terminals(a, Cycle((0, 1, 2, 3), 5), always_extremal)
-        assert by_start[1].scaled == unit(5, 1)
-        assert by_start[0].scaled == v5(0, -1, NI, NI, NI)  # (1, 0, ...)
-        assert by_start[3].scaled == v5(-1, -2, NI, 0, NI)  # (1, 0, -inf, 2)
-        assert by_start[2].scaled == v5(-3, -4, 0, -2, NI)  # (1, 0, 4, 2)
-        assert by_start[2].steps == 3  # the full run
+        assert list(by_start) == [0, 1, 2, 3]
+        assert by_start[1] == unit(5, 1)
+        assert by_start[0] == v5(0, -1, NI, NI, NI)  # (1, 0, ...)
+        assert by_start[3] == v5(-1, -2, NI, 0, NI)  # (1, 0, -inf, 2)
+        assert by_start[2] == v5(-3, -4, 0, -2, NI)  # (1, 0, 4, 2)
+        assert steps_taken(by_start[2]) == 3  # the full run
         # every grown vector solves the whole system
-        for r in by_start.values():
-            assert in_supereig(a, r.scaled)
+        for x in by_start.values():
+            assert in_supereig(a, x)
+
+    def test_keeps_only_the_accepted_rotations(self):
+        # the oracle sees every terminal, in rotation order; the rotation
+        # from 0 grows to (0, -3, -3), which is not extremal, and is left out
+        a = mk([[NI, 3, 3], [NI, NI, 0], [2, 2, NI]])
+        cycle = Cycle((0, 1, 2), 5)
+        seen = []
+        got = cycle_terminals(a, cycle, recording(TangentOracle(a), seen))
+        assert seen == [
+            (vector([0, -3, -3]), False),
+            (vector([NI, 0, 0]), True),
+            (vector([-2, NI, 0]), True),
+        ]
+        assert list(got) == [1, 2]
+        assert got == {1: vector([NI, 0, 0]), 2: vector([-2, NI, 0])}
 
     def test_full_run_suffix_weights(self):
         # after a full run the grown vector pays the remaining arcs of the
@@ -151,17 +170,16 @@ class TestCycleTerminals:
                 if len(c.nodes) < 2:
                     continue
                 run = cycle_terminals(a, c, always_extremal)
-                for start, r in run.items():
+                for start, x in run.items():
                     t = len(c.nodes)
-                    if r.steps != t - 1:
+                    if steps_taken(x) != t - 1:
                         continue
-                    rot = next(
-                        rr.nodes for rr in rotations(c) if rr.nodes[0] == start
-                    )
+                    r = c.nodes.index(start)
+                    rot = c.nodes[r:] + c.nodes[:r]
                     suffix = 0
                     for l in range(t - 2, -1, -1):
                         suffix = a[rot[l]][rot[l + 1]] + suffix
-                        assert r.scaled[rot[l]] - r.scaled[rot[-1]] == suffix
+                        assert x[rot[l]] - x[rot[-1]] == suffix
                     seen += 1
 
     def test_rejects_negative_cycle(self):
@@ -360,17 +378,23 @@ class TestGrowthMatchesBrute:
             oracle = always_extremal if kind == "always" else TangentOracle(a)
             for cycle, paths in structure:
                 got = cycle_terminals(a, cycle, oracle)
+                every = cycle_terminals(a, cycle, always_extremal)
                 want = brute_cycle_terminals(a, cycle, oracle)
-                assert list(got) == list(want)
+                assert list(every) == list(want)
+                assert list(got) == [s for s, run in want.items() if run[3]]
                 for start, (n_steps, _, scaled, ok) in want.items():
-                    r = got[start]
-                    assert (r.steps, r.scaled, r.extremal) == (n_steps, scaled, ok)
-                    assert format_vector(r.scaled) == format_vector(scaled)
+                    x = every[start]
+                    assert (steps_taken(x), x) == (n_steps, scaled)
+                    assert format_vector(x) == format_vector(scaled)
+                    if ok:
+                        assert format_vector(got[start]) == format_vector(x)
+                    else:
+                        assert start not in got
                     runs += 1
                 for path in paths:
                     trace = []
                     out, _ = walk_path(
-                        a, path, got[path[-1]].scaled, recording(oracle, trace),
+                        a, path, every[path[-1]], recording(oracle, trace),
                         cycle,
                     )
                     # the brute loop starts from the unscaled grown vector
@@ -409,13 +433,14 @@ def test_walk_emits_the_union_of_its_feeder_paths(a, kind):
     d = Digraph.from_matrix(a)
     for cycle in nonneg_elementary_cycles(d, None):
         paths = brute_feeder_paths(a, cycle.nodes)
-        for end, run in cycle_terminals(a, cycle, oracle).items():
-            out, taken = path_extremals(a, d, cycle, end, run.scaled, oracle)
+        # every rotation's terminal, accepted or not, starts a walk
+        for end, x in cycle_terminals(a, cycle, always_extremal).items():
+            out, taken = path_extremals(a, d, cycle, end, x, oracle)
             emitted, walked, accepted = set(), set(), set()
             for p in paths:
                 if p[-1] != end:
                     continue
-                want_out, trace = brute_path_extremals(a, p, run.scaled, oracle)
+                want_out, trace = brute_path_extremals(a, p, x, oracle)
                 emitted.update(want_out)
                 # trace step k (from 0) enters the suffix p[len(p) - 2 - k:]
                 suffixes = [p[len(p) - 2 - k:] for k in range(len(trace))]
@@ -544,12 +569,11 @@ def memo_free_search(a, oracle, max_cycles):
     cycles = nonneg_elementary_cycles(d, max_cycles)
     pool, walked = [], 0
     for cycle in cycles:
-        for end, run in cycle_terminals(a, cycle, oracle).items():
-            if run.extremal:
-                out, walked = path_extremals(
-                    a, d, cycle, end, run.scaled, oracle, taken=walked
-                )
-                pool += [run.scaled, *out]
+        for end, x in cycle_terminals(a, cycle, oracle).items():
+            out, walked = path_extremals(
+                a, d, cycle, end, x, oracle, taken=walked
+            )
+            pool += [x, *out]
     basis = ScaledBasis(pool)
     stats = SearchStats(len(cycles), walked, len(pool), len(pool) - len(basis))
     return basis, stats

@@ -26,7 +26,6 @@ from maxplus import (
     unit,
     vector,
 )
-from maxplus.digraph import Digraph, cycle_weight
 from maxplus.semiring import as_scalar, integer_scaled, unscaled
 from support import (
     brute_apply,
@@ -521,14 +520,6 @@ class TestInputChecks:
             ),
             pytest.param(
                 lambda: as_scalar(True), TypeError, "not a max-plus scalar", id="bool"
-            ),
-            pytest.param(
-                lambda: cycle_weight(
-                    Digraph.from_matrix(MpMatrix.identity(2)), (0, 1)
-                ),
-                ValueError,
-                "missing arc 0 -> 1",
-                id="cycle-weight-missing-arc",
             ),
             pytest.param(
                 lambda: support_masks([vector([0, 0]), vector([0])]),
