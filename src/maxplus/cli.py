@@ -173,8 +173,6 @@ def _json_scalar(e):
         return None
     if isinstance(e, int):
         return e
-    if e.denominator == 1:
-        return int(e)
     return str(e)
 
 

@@ -40,20 +40,23 @@ class Cycle(NamedTuple):
 
 
 class Digraph:
-    """Immutable adjacency view of a square max-plus matrix."""
+    """Immutable adjacency view of a square max-plus matrix.
 
-    __slots__ = ("n", "succ", "pred", "_weights")
+    ``succ[i]`` holds a pair (j, a_ij) per arc out of i and ``pred[j]``
+    the tail i of each arc into j, both in ascending node order.
+    """
+
+    __slots__ = ("n", "succ", "pred")
 
     def __init__(self, n: int, arcs: dict[tuple[int, int], ExtReal]):
         self.n = n
-        self._weights = dict(arcs)
-        succ: list[list[int]] = [[] for _ in range(n)]
+        succ: list[list[tuple[int, ExtReal]]] = [[] for _ in range(n)]
         pred: list[list[int]] = [[] for _ in range(n)]
-        for (i, j) in arcs:
-            succ[i].append(j)
+        for (i, j), w in sorted(arcs.items()):
+            succ[i].append((j, w))
             pred[j].append(i)
-        self.succ = tuple(tuple(sorted(s)) for s in succ)
-        self.pred = tuple(tuple(sorted(p)) for p in pred)
+        self.succ = tuple(map(tuple, succ))
+        self.pred = tuple(map(tuple, pred))
 
     @classmethod
     def from_matrix(cls, a: MpMatrix) -> "Digraph":
@@ -64,12 +67,6 @@ class Digraph:
             if w is not NEG_INF
         }
         return cls(len(a), arcs)
-
-    def weight(self, i: int, j: int) -> ExtReal:
-        return self._weights.get((i, j), NEG_INF)
-
-    def has_arc(self, i: int, j: int) -> bool:
-        return (i, j) in self._weights
 
 
 def nonneg_elementary_cycles(
@@ -120,7 +117,7 @@ def _cyclic_components(d: Digraph, first: int = 0) -> list[list[int]]:
         work = [(root, iter(d.succ[root]))]
         while work:
             v, succ = work[-1]
-            for w in succ:
+            for w, _ in succ:
                 if w < first:
                     continue
                 if index[w] < 0:
@@ -142,7 +139,7 @@ def _cyclic_components(d: Digraph, first: int = 0) -> list[list[int]]:
                     del stack[k:]
                     for u in comp:
                         on_stack[u] = False
-                    if len(comp) > 1 or d.has_arc(v, v):
+                    if len(comp) > 1 or v in d.pred[v]:
                         comps.append(comp)
     return comps
 
@@ -163,10 +160,7 @@ def _circuits(d: Digraph) -> Iterator[tuple[tuple[int, ...], ExtReal]]:
         comp = min(comps, key=min)
         s = min(comp)
         inside = set(comp)
-        succ = {
-            v: [(w, d.weight(v, w)) for w in d.succ[v] if w in inside]
-            for v in comp
-        }
+        succ = {v: [(w, c) for w, c in d.succ[v] if w in inside] for v in comp}
         blocked = {s}
         waiting: dict[int, set[int]] = {v: set() for v in comp}
         path = [s]
@@ -266,9 +260,9 @@ def max_cycle_mean(d: Digraph) -> ExtReal:
         m = len(nodes)
         idx = {v: k for k, v in enumerate(nodes)}
         arcs = [
-            (idx[u], idx[v], d.weight(u, v))
+            (idx[u], idx[v], w)
             for u in nodes
-            for v in d.succ[u]
+            for v, w in d.succ[u]
             if v in idx
         ]
         table: list[list[ExtReal]] = [[NEG_INF] * m for _ in range(m + 1)]

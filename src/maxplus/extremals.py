@@ -9,12 +9,12 @@ vectors.  The search walks the matrix digraph:
   satisfies its current row, and returns the scaled terminals the oracle
   accepts, as plain vectors by start node.
 
-* :func:`path_extremals` extends an extremal cycle candidate backward
-  over the feeder paths into its rotation's start node, as a depth-first
-  tree walk: one candidate per step, and no step below a non-extremal one.
+* :func:`path_extremals` extends those terminals backward over the
+  cycle's feeder paths, one depth-first tree walk from each start node:
+  one candidate per step, and no step below a non-extremal one.
 
-* :func:`extremal_basis` runs both over every nonnegative cycle and every
-  extremal rotation and returns the deduplicated canonical basis.
+* :func:`extremal_basis` calls each once per nonnegative cycle and
+  returns the deduplicated canonical basis.
 
 The first two grow a candidate by the double description step,
 :func:`maxplus.semiring.boundary_point`, the one ``dd`` uses: each step
@@ -232,20 +232,20 @@ def path_extremals(
     a: MpMatrix,
     d: Digraph,
     cycle: Cycle,
-    end: int,
-    terminal: MpVector,
+    terminals: dict[int, MpVector],
     oracle: Oracle,
     *,
     steps: dict | None = None,
-    taken: int = 0,
     max_steps: int | None = None,
 ) -> tuple[list[MpVector], int]:
-    """Extend an extremal cycle candidate backward over the feeder paths
-    into ``end``, a node of ``cycle``.
+    """Extend a cycle's extremal candidates backward over its feeder paths.
 
-    A depth-first walk from ``end`` over fresh predecessors outside the
-    cycle (``d.pred``): each tree node is a path (l_q, ..., l_m = end), a
-    suffix of some maximal feeder path of
+    ``terminals`` maps nodes of ``cycle`` to the grown vectors of the
+    rotations anchored there, as :func:`cycle_terminals` returns them; any
+    scalar multiple gives the same emissions.  From each start, in the
+    dict's order, a depth-first walk over fresh predecessors outside the
+    cycle (``d.pred``): each tree node is a path (l_q, ..., l_m = start),
+    a suffix of some maximal feeder path of
     :func:`maxplus.digraph.feeder_paths`, entered once.  The step into l
     absorbs the unit vector at l:
 
@@ -256,11 +256,7 @@ def path_extremals(
     self-loop of nonnegative weight) is not entered, and a step the oracle
     rejects is not extended: no longer path through either can give an
     extremal.  Returns the scaled vectors of the accepted steps, in walk
-    order, and ``taken`` plus the number of steps walked.
-
-    ``terminal`` is the grown vector of the rotation anchored at ``end``;
-    any scalar multiple gives the same emissions.  ``taken`` counts the
-    steps earlier walks of the same cycle took; the step that would pass
+    order, and the number of steps walked; the step that would pass
     ``max_steps`` raises CycleLimitError.
 
     ``steps`` is the step memo of one search (see :func:`extremal_basis`),
@@ -268,44 +264,46 @@ def path_extremals(
     memo for this call.  Walks from the same terminal, in other cycles,
     form their shared steps once; the oracle still sees every step.
     """
-    if end not in cycle.nodes:
-        raise ValueError(f"walk start {end} is not a node of the cycle")
     if steps is None:
         steps = {}
     n = len(a)
     out: list[MpVector] = []
-    # The cycle's nodes and those on the current path are never entered.
-    # Each frame is (node, its grown vector, its fresh predecessors not
-    # yet tried).
-    used = set(cycle.nodes)
-    stack = [(end, terminal, [u for u in d.pred[end] if u not in used])]
-    while stack:
-        node, v, untried = stack[-1]
-        if not untried:
-            stack.pop()
-            used.discard(node)
-            continue
-        u = untried.pop()
-        loop = a[u][u]
-        if loop is not NEG_INF and loop >= 0:
-            continue
-        if max_steps is not None and taken >= max_steps:
-            raise CycleLimitError(
-                f"more than {max_steps} feeder path steps from one cycle; "
-                "raise the cap to proceed"
-            )
-        taken += 1
-        key = (id(v), u)
-        hit = steps.get(key)
-        if hit is None:
-            grown = boundary_point(v, 0, unit(n, u), a.row_apply(u, v))
-            hit = steps[key] = (v, grown)
-        v = hit[1]
-        if not oracle(v):
-            continue
-        out.append(v)
-        used.add(u)
-        stack.append((u, v, [p for p in d.pred[u] if p not in used]))
+    taken = 0
+    for end, terminal in terminals.items():
+        if end not in cycle.nodes:
+            raise ValueError(f"walk start {end} is not a node of the cycle")
+        # The cycle's nodes and those on the current path are never
+        # entered.  Each frame is (node, its grown vector, its fresh
+        # predecessors not yet tried).
+        used = set(cycle.nodes)
+        stack = [(end, terminal, [u for u in d.pred[end] if u not in used])]
+        while stack:
+            node, v, untried = stack[-1]
+            if not untried:
+                stack.pop()
+                used.discard(node)
+                continue
+            u = untried.pop()
+            loop = a[u][u]
+            if loop is not NEG_INF and loop >= 0:
+                continue
+            if max_steps is not None and taken >= max_steps:
+                raise CycleLimitError(
+                    f"more than {max_steps} feeder path steps from one "
+                    "cycle; raise the cap to proceed"
+                )
+            taken += 1
+            key = (id(v), u)
+            hit = steps.get(key)
+            if hit is None:
+                grown = boundary_point(v, 0, unit(n, u), a.row_apply(u, v))
+                hit = steps[key] = (v, grown)
+            v = hit[1]
+            if not oracle(v):
+                continue
+            out.append(v)
+            used.add(u)
+            stack.append((u, v, [p for p in d.pred[u] if p not in used]))
     return out, taken
 
 
@@ -357,11 +355,13 @@ def extremal_basis(
     rotation, never listed.  ``max_cycles`` caps the cycles and the feeder
     path steps of each cycle; exceeding it raises CycleLimitError.  The
     default oracle is a :class:`TangentOracle`, which reads only A and the
-    candidate.  Cycles are searched one after another, in cycle order.
-    Every :func:`cycle_terminals` and :func:`path_extremals` call of one
-    search shares one step memo, so each growth step is formed once; the
-    oracle is still asked about every candidate, in the same order.  Only
-    the distinct emissions are kept, the first of equal ones.
+    candidate.  Cycles are searched one after another, in cycle order,
+    with one :func:`cycle_terminals` and one :func:`path_extremals` call
+    each.  All calls of one search share one step memo, so each growth
+    step is formed once; the oracle is still asked about every candidate.
+    Only the distinct emissions are kept, the first of equal ones: a
+    cycle's terminals come before its walk's emissions, and no terminal
+    equals an emission of the same cycle, whose support leaves the cycle.
     """
     d = Digraph.from_matrix(a)
     lam = max_cycle_mean(d)
@@ -375,15 +375,13 @@ def extremal_basis(
     found: set[MpVector] = set()
     candidates = walked = 0
     for cycle in cycles:
-        taken = 0
-        for end, x in cycle_terminals(a, cycle, oracle, steps=steps).items():
-            out, taken = path_extremals(
-                a, d, cycle, end, x, oracle,
-                steps=steps, taken=taken, max_steps=max_cycles,
-            )
-            found.add(x)
-            found.update(out)
-            candidates += 1 + len(out)
+        terminals = cycle_terminals(a, cycle, oracle, steps=steps)
+        out, taken = path_extremals(
+            a, d, cycle, terminals, oracle, steps=steps, max_steps=max_cycles
+        )
+        found.update(terminals.values())
+        found.update(out)
+        candidates += len(terminals) + len(out)
         walked += taken
     basis = ScaledBasis(found)
     stats = SearchStats(

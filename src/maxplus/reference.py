@@ -212,7 +212,7 @@ def double_description(
     pairs is formed.
     """
     d = system.dimension
-    masks = support_masks(sorted(unit(d, i) for i in range(d)))
+    masks = support_masks(unit(d, i) for i in range(d))
     formed = 0
     for row in system.rows:
         lower, upper = (

@@ -248,13 +248,10 @@ def integer_scaled(a: MpMatrix) -> tuple[int, MpMatrix]:
     extremals, cycle weights and cycle means map to k times themselves.
     With no Fraction entry this is ``(1, a)``, the same matrix object.
     """
-    k = 1
-    for row in a:
-        for e in row:
-            if isinstance(e, Fraction):
-                k = lcm(k, e.denominator)
-    if k == 1:
+    dens = [e.denominator for row in a for e in row if isinstance(e, Fraction)]
+    if not dens:
         return 1, a
+    k = lcm(*dens)
     return k, MpMatrix(
         MpVector([e if e is NEG_INF else int(e * k) for e in row]) for row in a
     )

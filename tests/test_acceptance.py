@@ -124,14 +124,14 @@ def test_c3_walkthrough_traces():
     d = Digraph.from_matrix(a)
     loop = Cycle((1,), 1)
     oracle = SpanOracle(a)
-    terminal = cycle_terminals(a, loop, oracle)[1]
+    terminals = cycle_terminals(a, loop, oracle)  # {1: the loop's unit}
 
     def trace_for(nodes):
         # the walk over this path's arcs alone is the walk along the path
         assert nodes in feeder_paths(d, loop, None)
         alone = Digraph(5, {(u, v): a[u][v] for u, v in zip(nodes, nodes[1:])})
         steps = []
-        path_extremals(a, alone, loop, 1, terminal, recording(oracle, steps))
+        path_extremals(a, alone, loop, terminals, recording(oracle, steps))
         return steps
 
     ni = NEG_INF
@@ -158,7 +158,7 @@ def test_c3_walkthrough_traces():
     # the walk over the whole digraph takes each of these steps once,
     # among the 14 distinct suffixes of the six feeder paths it enters
     walked = []
-    path_extremals(a, d, loop, 1, terminal, recording(oracle, walked))
+    path_extremals(a, d, loop, terminals, recording(oracle, walked))
     assert len(walked) == len(set(walked)) == 14
     for nodes in ((4, 2, 3, 0, 1), (4, 3, 2, 1), (2, 3, 4, 1)):
         assert set(trace_for(nodes)) <= set(walked)
@@ -216,6 +216,26 @@ def test_c10_random_n12_agreement():
         assert search == pruned_dd_basis(a), a
         admitted += 1
     assert admitted == 23
+
+
+@criterion("c12", "three routes agree on random n=14 with at most 3000 generators")
+def test_c12_random_n14_agreement():
+    # c10's guard at n=14, fixed before any route runs, so wang2020 joins
+    # the search and the pruned dd at the size c11 checks without it.
+    rng = random.Random(14014)
+    admitted = 0
+    for _ in range(30):
+        a = rand_matrix(rng, 14, neg_inf_p=0.8)
+        try:
+            if len(cycle_path_generators(a, max_cycles=20000)) > 3000:
+                continue
+        except CycleLimitError:
+            continue
+        search = extremal_basis(a).basis
+        assert search == extremal_filter(cycle_path_generators(a)), a
+        assert search == pruned_dd_basis(a), a
+        admitted += 1
+    assert admitted == 7
 
 
 @criterion("c11", "search equals pruned dd on random n=14 (s = 7, 9, 11) and n=16 (s = 11)")

@@ -599,6 +599,13 @@ class TestLargeValues:
         assert "'" + "9" * 40 + "'... (4301 characters)" in err
 
 
+def json_scalar(e):
+    """The JSON value of an exact entry: null, an integer, or "p/q"."""
+    if e is NEG_INF:
+        return None
+    return int(e) if e.denominator == 1 else str(e)
+
+
 def library_output(a, command, method="extremal", *, as_json=False, vec=None):
     """(stdout, stderr) of a command, formatted from the routes run on a as given."""
     result = None
@@ -609,7 +616,7 @@ def library_output(a, command, method="extremal", *, as_json=False, vec=None):
                 "n": len(a),
                 "lambda": format_scalar(result.cycle_mean),
                 "solvable": result.solvable,
-                "basis": [[cli._json_scalar(e) for e in v] for v in result.basis],
+                "basis": [[json_scalar(e) for e in v] for v in result.basis],
                 "stats": dataclasses.asdict(result.stats),
             }
             return json.dumps(payload) + "\n", ""
@@ -706,6 +713,14 @@ class TestIntegerRescale:
                 continue
             want = library_output(a, "check", vec=vec)
             assert self.run(capsys, ["check", f, "--vector", vec]) == want
+
+    def test_lambda_shift_to_whole_entries_prints_json_ints(self, tmp_path, capsys):
+        # shifted by -1/2 every entry is a whole number, held as a Fraction
+        f = write(tmp_path, "-1/2 5/2\n-inf 1/2\n")
+        for method in cli.METHODS:
+            argv = ["basis", f, "--json", "--lambda", "1/2", "--method", method]
+            payload = json.loads(self.run(capsys, argv)[0])
+            assert payload["basis"] == [[None, 0], [0, -2]]
 
     def test_check_with_other_denominators(self, tmp_path, capsys):
         a = parse_matrix("0 1/2 -inf\n-1/2 0 3/2\n-inf -5/2 -1/2\n").matrix

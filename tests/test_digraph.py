@@ -40,23 +40,20 @@ class TestDigraph:
     def test_worked_example_arcs(self):
         d = Digraph.from_matrix(example_matrix())
         assert sum(map(len, d.succ)) == 14
-        assert d.weight(0, 0) == -3
-        assert d.weight(1, 2) == 1
-        assert d.weight(2, 3) == 2
-        assert d.weight(3, 4) == -7
-        assert d.weight(0, 2) is NEG_INF
-        assert not d.has_arc(4, 4)
-        assert d.succ[1] == (0, 1, 2)
+        assert d.succ[0] == ((0, -3), (1, 1))  # no arc 0 -> 2
+        assert d.succ[1] == ((0, 1), (1, 1), (2, 1))
+        assert d.succ[2] == ((1, 0), (3, 2))
+        assert d.succ[3] == ((0, 1), (2, -5), (4, -7))
+        assert 4 not in d.pred[4]
         assert d.pred[1] == (0, 1, 2, 4)
 
     def test_no_arcs(self):
         d = Digraph.from_matrix(mk([[NI]]))
-        assert not d.has_arc(0, 0)
-        assert d.succ[0] == ()
+        assert d.succ[0] == () and d.pred[0] == ()
 
     def test_identity_loops(self):
         d = Digraph.from_matrix(MpMatrix.identity(3))
-        arcs = [(i, j, d.weight(i, j)) for i in range(3) for j in d.succ[i]]
+        arcs = [(i, j, w) for i in range(3) for j, w in d.succ[i]]
         assert arcs == [(0, 0, 0), (1, 1, 0), (2, 2, 0)]
 
 

@@ -204,7 +204,7 @@ def walk_path(a, path, terminal, oracle, cycle=None):
     """
     cycle = cycle or Cycle((path[-1],), 0)
     return path_extremals(
-        a, path_digraph(a, path), cycle, path[-1], terminal, oracle
+        a, path_digraph(a, path), cycle, {path[-1]: terminal}, oracle
     )
 
 
@@ -290,7 +290,7 @@ class TestPathExtremals:
         assert len(feeder_paths(d, loop, None)) == 6
         steps = []
         out, taken = path_extremals(
-            a, d, loop, 1, unit(5, 1), recording(SpanOracle(a), steps)
+            a, d, loop, {1: unit(5, 1)}, recording(SpanOracle(a), steps)
         )
         assert steps == [
             (v5(NI, 0, NI, NI, -2), True),  # 5 2
@@ -312,21 +312,28 @@ class TestPathExtremals:
         assert out == [v for v, ok in steps if ok]
 
     def test_step_cap_counts_across_walks(self):
+        # One call walks from both rotations of the 2-cycle on nodes 0, 1,
+        # in the terminals' order; the cap counts the steps of both walks.
         a = example_matrix()
         d = Digraph.from_matrix(a)
-        loop = Cycle((1,), 1)
+        two = Cycle((0, 1), 2)
+        terminals = cycle_terminals(a, two, always_extremal)
+        assert list(terminals) == [0, 1]
 
-        def walk(**kwargs):
-            return path_extremals(a, d, loop, 1, unit(5, 1), always_extremal, **kwargs)
+        def walk(starts, **kwargs):
+            starts = {s: terminals[s] for s in starts}
+            return path_extremals(a, d, two, starts, always_extremal, **kwargs)
 
-        out, taken = walk()
-        assert taken == 16 and len(out) == 16  # every suffix, unpruned
-        assert walk(max_steps=16)[1] == 16
-        assert walk(taken=5, max_steps=21)[1] == 21
-        with pytest.raises(CycleLimitError, match="more than 15 feeder path steps"):
-            walk(max_steps=15)
-        with pytest.raises(CycleLimitError, match="more than 20 "):
-            walk(taken=5, max_steps=20)
+        assert walk([0])[1] == 7 and walk([1], max_steps=8)[1] == 8
+        out, taken = walk([0, 1])
+        assert taken == 15 and len(out) == 15  # every suffix, unpruned
+        assert out == walk([0])[0] + walk([1])[0]
+        assert walk([0, 1], max_steps=15)[1] == 15
+        with pytest.raises(CycleLimitError, match="more than 14 feeder path steps"):
+            walk([0, 1], max_steps=14)
+        # each walk alone fits under 8 steps, the two together do not
+        with pytest.raises(CycleLimitError, match="more than 8 "):
+            walk([0, 1], max_steps=8)
 
     def test_rejects_start_off_the_cycle(self):
         with pytest.raises(ValueError):
@@ -334,8 +341,7 @@ class TestPathExtremals:
                 example_matrix(),
                 Digraph.from_matrix(example_matrix()),
                 Cycle((1,), 1),
-                0,
-                unit(5, 0),
+                {0: unit(5, 0)},
                 always_extremal,
             )
 
@@ -434,8 +440,12 @@ def test_walk_emits_the_union_of_its_feeder_paths(a, kind):
     for cycle in nonneg_elementary_cycles(d, None):
         paths = brute_feeder_paths(a, cycle.nodes)
         # every rotation's terminal, accepted or not, starts a walk
-        for end, x in cycle_terminals(a, cycle, always_extremal).items():
-            out, taken = path_extremals(a, d, cycle, end, x, oracle)
+        every = cycle_terminals(a, cycle, always_extremal)
+        outs, steps = [], 0
+        for end, x in every.items():
+            out, taken = path_extremals(a, d, cycle, {end: x}, oracle)
+            outs += out
+            steps += taken
             emitted, walked, accepted = set(), set(), set()
             for p in paths:
                 if p[-1] != end:
@@ -449,6 +459,8 @@ def test_walk_emits_the_union_of_its_feeder_paths(a, kind):
             assert set(out) == emitted
             assert len(out) == len(accepted)
             assert taken == len(walked)
+        # one call walks from every start in turn
+        assert path_extremals(a, d, cycle, every, oracle) == (outs, steps)
 
 
 class TestExtremalBasis:
@@ -569,11 +581,10 @@ def memo_free_search(a, oracle, max_cycles):
     cycles = nonneg_elementary_cycles(d, max_cycles)
     pool, walked = [], 0
     for cycle in cycles:
-        for end, x in cycle_terminals(a, cycle, oracle).items():
-            out, walked = path_extremals(
-                a, d, cycle, end, x, oracle, taken=walked
-            )
-            pool += [x, *out]
+        terminals = cycle_terminals(a, cycle, oracle)
+        out, taken = path_extremals(a, d, cycle, terminals, oracle)
+        pool += [*terminals.values(), *out]
+        walked += taken
     basis = ScaledBasis(pool)
     stats = SearchStats(len(cycles), walked, len(pool), len(pool) - len(basis))
     return basis, stats

@@ -633,6 +633,14 @@ class TestIntegerScaled:
         assert k == 1
         assert b is a
 
+    def test_integral_fractions_become_ints(self):
+        # a --lambda shift can leave Fraction entries of denominator 1
+        a = MpMatrix.from_rows([[Fraction(-1), Fraction(2)], [NEG_INF, 0]])
+        k, b = integer_scaled(a)
+        assert k == 1
+        assert [[type(e) for e in row] for row in b] == [[int, int], [type(NEG_INF), int]]
+        assert b == a
+
     @pytest.mark.parametrize("seed", range(6))
     def test_fractional_matrix_scales_to_ints(self, seed):
         a = fractional_matrix(random.Random(seed), 6, neg_inf_p=0.3)

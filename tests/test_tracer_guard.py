@@ -107,11 +107,11 @@ def test_search_runs_through_both_growth_steps(tracer, tmp_path, capsys):
         restore()
     capsys.readouterr()
     totals = t.totals()
-    # one call per cycle and per extremal rotation (all nine here), each
-    # walking that rotation's feeder paths as a tree: the shared step memo
+    # one call of each per cycle, the walk covering the feeder paths of
+    # every extremal rotation (nine here) as trees: the shared step memo
     # skips formed steps, not the calls the benchmark times
     assert totals["extremals.cycle_terminals.calls"] == 4
-    assert totals["extremals.path_extremals.calls"] == 9
+    assert totals["extremals.path_extremals.calls"] == 4
     assert totals["extremals.candidates"] == 36
     assert totals["extremals.duplicates"] == 26
 
