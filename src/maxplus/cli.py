@@ -84,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="K",
             help="abort (exit 3) past K enumerated cycles, K feeder paths "
             "of one cycle (wang2020, check), K feeder path steps walked from "
-            "one cycle (extremal), or K dd boundary points formed "
-            "[%(default)s]",
+            "one cycle (extremal), or K dd boundary points formed; check "
+            "counts the cycles and paths of A restricted to the vector's "
+            "support [%(default)s]",
         )
         if method:
             p.add_argument(
@@ -153,7 +154,7 @@ def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
     if method == "wang2020":
         structure = cycle_structure(d, cap)
         gens = cycle_path_generators(a, structure=structure)
-        scaled = {v.scaled() for v in gens}
+        scaled = {v.scaled() for v in dict.fromkeys(gens.vectors)}
         basis = extremal_filter(scaled)
         stats = SearchStats(
             cycles=len(structure),
@@ -237,6 +238,16 @@ def _cmd_cycles(args) -> int:
     return 0
 
 
+def _on_support(a: MpMatrix, x: MpVector) -> MpMatrix:
+    """A with every arc into or out of a node off supp(x) set to -inf: a
+    ``SpanOracle`` built on it judges x as one built on A does."""
+    off = [e is NEG_INF for e in x]
+    return MpMatrix(
+        MpVector([NEG_INF if off[i] or off[j] else e for j, e in enumerate(row)])
+        for i, row in enumerate(a)
+    )
+
+
 def _cmd_check(args) -> int:
     k, a = _effective(args)
     x = parse_vector(args.vector, len(a))
@@ -245,7 +256,8 @@ def _cmd_check(args) -> int:
     member = in_supereig(a, x)
     extremal = False
     if member:
-        extremal = SpanOracle(a, max_cycles=args.max_cycles)(x.scaled())
+        oracle = SpanOracle(_on_support(a, x), max_cycles=args.max_cycles)
+        extremal = oracle(x.scaled())
     print(f"member: {'yes' if member else 'no'}")
     print(f"extremal: {'yes' if extremal else 'no'}")
     return 0

@@ -22,7 +22,9 @@ vectors; :func:`extremal_filter` reduces any generating set to the scaled
 extremals, which form the unique scaled basis of the generated
 subsemimodule.
 ``check`` decides extremality with :class:`SpanOracle`, a span test
-against the closed-form set that shares nothing with the search's criterion.
+against the closed-form set that shares nothing with the search's criterion,
+built on A restricted to the vector's support, whose closed form holds
+every generator of A that can take part in the vector.
 """
 
 from __future__ import annotations
@@ -59,8 +61,12 @@ class GeneratorSet:
     vectors: tuple[MpVector, ...]
 
     def scaled_set(self) -> tuple[MpVector, ...]:
-        """Distinct scaled forms of the generators, canonically sorted."""
-        return tuple(sorted({v.scaled() for v in self.vectors}))
+        """Distinct scaled forms of the generators, canonically sorted.
+
+        Shared feeder path suffixes repeat generators, so each distinct
+        one is scaled once.
+        """
+        return tuple(sorted({v.scaled() for v in dict.fromkeys(self.vectors)}))
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -316,6 +322,13 @@ class SpanOracle:
     Callers guarantee v solves A (x) >= x and is scaled.  The generators
     sit in a :func:`~maxplus.semiring.support_masks` dict built once and
     never changed.
+
+    ``check`` builds it on A_S, A with every arc into or out of a node off
+    S = supp(v) removed.  Only generators with support inside S take part
+    in v, and those are A_S's: the cycles inside S are the same, each feeder
+    path suffix inside S ends a maximal feeder path in both digraphs, and
+    a generator reads only its cycle's and suffix's arc weights.  v solves
+    A_S (x) >= x too, as (A v)_i = (A_S v)_i on S.
     """
 
     __slots__ = ("_gens",)

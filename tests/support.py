@@ -257,6 +257,14 @@ def mk(rows) -> MpMatrix:
     return MpMatrix.from_rows(rows)
 
 
+def on_support(a: MpMatrix, v: MpVector) -> MpMatrix:
+    """A with every arc whose tail or head is -inf in v removed."""
+    s = {i for i, e in enumerate(v) if e is not NEG_INF}
+    return mk(
+        [[e if {i, j} <= s else NEG_INF for j, e in enumerate(row)] for i, row in enumerate(a)]
+    )
+
+
 # Structured families.  Each builder returns an MpMatrix; the random ones
 # draw every weight from the given generator, so a seed fixes the matrix.
 

@@ -17,21 +17,25 @@ from maxplus import (
     CycleLimitError,
     Digraph,
     MpMatrix,
+    MpVector,
     NEG_INF,
     ScaledBasis,
     SpanOracle,
     TwoSidedSystem,
     always_extremal,
+    cli,
     cycle_path_generators,
     cycle_terminals,
     double_description,
     extremal_basis,
     extremal_filter,
     feeder_paths,
+    format_vector,
     in_supereig,
     max_cycle_mean,
     nonneg_elementary_cycles,
     path_extremals,
+    render_matrix,
     row_satisfied,
     unit,
     vector,
@@ -238,14 +242,50 @@ def test_c12_random_n14_agreement():
     assert admitted == 7
 
 
+# The sizes the feeder path walk changes most, fixed in advance.
+LARGE_CASES = ((14, 7), (14, 9), (14, 11), (16, 11))
+
+
+@functools.cache
+def large_case(n, seed):
+    """``rand_matrix(Random(seed), n, neg_inf_p=0.7)`` and its search basis."""
+    a = rand_matrix(random.Random(seed), n, neg_inf_p=0.7)
+    return a, extremal_basis(a).basis
+
+
 @criterion("c11", "search equals pruned dd on random n=14 (s = 7, 9, 11) and n=16 (s = 11)")
 def test_c11_random_n14_n16_agreement():
-    # The sizes the feeder path walk changes most; the cases are fixed in
-    # advance.  The closed form (wang2020) is left out: at n=14, s=7 it
-    # has about 190k generators.
-    for n, seed in ((14, 7), (14, 9), (14, 11), (16, 11)):
-        a = rand_matrix(random.Random(seed), n, neg_inf_p=0.7)
-        assert extremal_basis(a).basis == pruned_dd_basis(a), (n, seed)
+    # The closed form (wang2020) is left out: at n=14, s=7 it has about
+    # 190k generators.
+    for n, seed in LARGE_CASES:
+        a, basis = large_case(n, seed)
+        assert basis == pruned_dd_basis(a), (n, seed)
+
+
+@criterion("c13", "check on random n=14 (s = 7, 9, 11) and n=16 (s = 11), < 5 s")
+def test_c13_check_at_n14_n16(tmp_path, capsys):
+    # check enumerates the closed form of A restricted to the vector's
+    # support, not of all of A (about 190k generators at n=14, s=7).  The
+    # probes are the benchmark's (the join of the first and last basis
+    # vector, shifted by 3) and those two basis vectors themselves.
+    elapsed = 0.0
+    for n, seed in LARGE_CASES:
+        a, basis = large_case(n, seed)
+        f = tmp_path / f"a{n}-{seed}.txt"
+        f.write_text(render_matrix(a))
+        first, last = basis.vectors[0], basis.vectors[-1]
+        join = MpVector(
+            NEG_INF if p is NEG_INF and q is NEG_INF else max(p, q) + 3
+            for p, q in zip(first, last)
+        )
+        for x in (join, first, last):
+            t0 = time.perf_counter()
+            assert cli.main(["check", str(f), "--vector", format_vector(x)]) == 0
+            elapsed += time.perf_counter() - t0
+            extremal = "yes" if x.scaled() in basis else "no"
+            want = f"member: yes\nextremal: {extremal}\n"
+            assert capsys.readouterr().out == want, (n, seed, x)
+    assert elapsed < 5.0
 
 
 @criterion("c5", "soundness: 1000 member checks and 1000 join checks")

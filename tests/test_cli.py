@@ -303,6 +303,32 @@ class TestCheck:
         assert cli.main(["check", example_file, "--vector", "7 6 -inf -inf -inf"]) == 0
         assert capsys.readouterr().out == "member: yes\nextremal: yes\n"
 
+    @pytest.mark.parametrize(
+        "vec, cap, code",
+        [
+            # on {2} the only elementary cycle is the loop at node 2
+            ("-inf 0 -inf -inf -inf", 1, 0),
+            # on {1, 2, 4}: the loops at 1 and 2 and the 2-cycle between
+            # them, three elementary cycles counted, two nonnegative
+            ("-1 -2 -inf 0 -inf", 2, 3),
+            ("-1 -2 -inf 0 -inf", 4, 0),
+            # full support: the cycles of A itself
+            ("0 0 0 0 0", 4, 3),
+        ],
+    )
+    def test_cap_counts_the_matrix_on_the_support(
+        self, example_file, capsys, vec, cap, code
+    ):
+        # check enumerates A with every arc into or out of a node off
+        # supp(x) removed, so --max-cycles bounds that enumeration alone
+        argv = ["check", example_file, "--vector", vec, "--max-cycles", str(cap)]
+        assert cli.main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert out == "member: yes\nextremal: yes\n"
+        else:
+            assert out == "" and err.startswith("error: more than")
+
     def test_wrong_arity(self, example_file, capsys):
         assert cli.main(["check", example_file, "--vector", "0 1"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -49,6 +49,7 @@ from support import (
     example_basis_vectors,
     example_matrix,
     mk,
+    on_support,
     rand_matrix,
     wider_cases,
 )
@@ -614,6 +615,24 @@ class TestSpanOracle:
         probes += [brute_join(x, y) for x, y in itertools.combinations(scaled[:8], 2)]
         for v in probes:
             assert oracle(v) == brute_extremal(v, scaled), (a, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans())
+    def test_verdicts_on_the_support_match(self, seed, fractional):
+        # Only generators with support inside supp(v) can take part in v,
+        # and those of A are the generators of A restricted to supp(v), so
+        # an oracle built on the restriction, as check builds it, agrees.
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        a = fractional_matrix(rng, n) if fractional else rand_matrix(rng, n)
+        scaled = cycle_path_generators(a).scaled_set()
+        oracle = SpanOracle(a)
+        probes = list(scaled)
+        probes += [
+            brute_join(x, y).scaled() for x, y in itertools.combinations(scaled[:8], 2)
+        ]
+        for v in probes:
+            assert SpanOracle(on_support(a, v))(v) == oracle(v), (a, v)
 
 
 class TestGeneratorSet:
