@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .digraph import (
     DEFAULT_MAX_CYCLES,
@@ -146,6 +147,11 @@ def _line(v: MpVector, k: int) -> str:
     return format_vector(MpVector([unscaled(e, k) for e in v]))
 
 
+def _write_lines(vectors: Iterable[MpVector], k: int) -> None:
+    """Print each vector's :func:`_line`, all in one write."""
+    sys.stdout.write("".join([f"{_line(v, k)}\n" for v in vectors]))
+
+
 def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
     if method == "extremal":
         return extremal_basis(a, max_cycles=cap)
@@ -202,8 +208,7 @@ def _cmd_basis(args) -> int:
         print(json.dumps(payload))
         return 0
     _print_unsolvable(result, k)
-    for v in result.basis:
-        print(_line(v, k))
+    _write_lines(result.basis, k)
     return 0
 
 
@@ -219,8 +224,7 @@ def _cmd_generators(args) -> int:
         vectors = gens.scaled_set()
     else:
         vectors = double_description(TwoSidedSystem.supereigen(a), cap).vectors
-    for v in vectors:
-        print(_line(v, k))
+    _write_lines(vectors, k)
     return 0
 
 

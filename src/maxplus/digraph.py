@@ -252,9 +252,11 @@ def max_cycle_mean(d: Digraph) -> ExtReal:
     component: with F[k][v] the best weight of a k-arc walk from a fixed
     source, the component's value is
     max over v of min over k of (F[m][v] - F[k][v]) / (m - k).
-    Exact rational output; NEG_INF when the digraph is acyclic.
+    Exact rational output; NEG_INF when the digraph is acyclic.  Each
+    candidate mean is held as its (weight difference, length) pair and
+    compared by cross-multiplication; the one Fraction is built at the end.
     """
-    best: ExtReal = NEG_INF
+    best: tuple[ExtReal, int] | None = None
     for comp in _cyclic_components(d):
         nodes = sorted(comp)
         m = len(nodes)
@@ -282,16 +284,18 @@ def max_cycle_mean(d: Digraph) -> ExtReal:
             top = last[vi]
             if top is NEG_INF:
                 continue
-            worst: ExtReal | None = None
+            worst: tuple[ExtReal, int] | None = None
             for k in range(m):
                 f = table[k][vi]
                 if f is NEG_INF:
                     continue
-                mean = Fraction(top - f, m - k)
-                if worst is None or mean < worst:
-                    worst = mean
+                diff, length = top - f, m - k
+                if worst is None or diff * worst[1] < worst[0] * length:
+                    worst = diff, length
             # A length-m walk in an m-node component repeats a node, so a
             # strictly shorter walk to vi exists and worst is set.
-            if worst is not None and (best is NEG_INF or worst > best):
+            if worst is not None and (
+                best is None or worst[0] * best[1] > best[0] * worst[1]
+            ):
                 best = worst
-    return best
+    return NEG_INF if best is None else Fraction(*best)

@@ -284,7 +284,7 @@ def extremal_filter(gens: Iterable[MpVector]) -> ScaledBasis:
     the unique scaled basis.
     """
     masks: dict[MpVector, int] = {}
-    _admit_extremals(masks, support_masks({v.scaled() for v in gens}))
+    _admit_extremals(masks, support_masks(v.scaled() for v in gens))
     return ScaledBasis(masks)
 
 
@@ -302,15 +302,41 @@ def _admit_extremals(masks: dict[MpVector, int], fresh: dict[MpVector, int]) -> 
     scaled extremals belong to every scaled generating set, so ``masks``
     holds only the group and the extremals found so far, which still span
     every vector already decided.
+
+    A group of one is kept untested when the supports held inside its
+    own do not cover it.  Those vectors are the extremals decided so far
+    (and, for the double description, the previous cone's satisfiers);
+    no combination of them reaches a coordinate they all miss, so the
+    vector is extremal, the verdict :func:`in_span` would give.  A group
+    of two or more covers itself.  The held supports are kept as a set of
+    masks that a group's mask stays in even when all of the group leaves:
+    the last of it to leave was a combination of vectors still held, whose
+    supports cover its own, so every later cover is the same.
     """
+    supports = set(masks.values())
     order = sorted(fresh, key=lambda v: (fresh[v].bit_count(), fresh[v], v))
     for mask, group in groupby(order, fresh.__getitem__):
         group = list(group)
+        tested = len(group) > 1 or _covered(mask, supports)
+        supports.add(mask)
         for v in group:
             masks[v] = mask
-        for v in group:
-            if in_span(v, masks, v):
-                del masks[v]
+        if tested:
+            for v in group:
+                if in_span(v, masks, v):
+                    del masks[v]
+
+
+def _covered(mask: int, supports: set[int]) -> bool:
+    """Whether the supports lying inside ``mask`` together cover it."""
+    outside = ~mask
+    reach = 0
+    for m in supports:
+        if not m & outside:
+            reach |= m
+            if reach == mask:
+                return True
+    return False
 
 
 class SpanOracle:

@@ -14,7 +14,10 @@ operator: they test each entry with ``is NEG_INF`` and apply ``max``,
 ``+`` and ``-`` to finite entries only, which are then plain ``int`` and
 ``Fraction`` arithmetic.  The results are the values and types the plain
 operators give: a tie keeps the left (first) entry, as ``max`` does, and
-int/Fraction mixes follow Python's own rules.
+int/Fraction mixes follow Python's own rules.  :func:`in_span` reads its
+dict in one pass; whether the supports inside a vector cover it is
+asked once per support group by the admission that
+``reference.extremal_filter`` and the pruned double description share.
 
 Vectors and square matrices are thin immutable tuple subclasses; index a
 matrix as ``a[i]`` for a row and ``a[i][j]`` for an entry.  Dimension
@@ -321,7 +324,11 @@ def residual(v: MpVector, w: MpVector) -> ExtReal:
 
 def _support_mask(x: MpVector) -> int:
     """Bit i set exactly when entry i is finite."""
-    return sum(1 << i for i, e in enumerate(x) if e is not NEG_INF)
+    mask = 0
+    for i, e in enumerate(x):
+        if e is not NEG_INF:
+            mask |= 1 << i
+    return mask
 
 
 def support_masks(gens: Iterable[MpVector] = ()) -> dict[MpVector, int]:
@@ -357,10 +364,13 @@ def in_span(
     Only a generator w whose support lies inside the support of v can take
     part, with coefficient residual(v, w); since residual(v, w) + w <= v,
     v lies in the span iff every finite coordinate of v is reached exactly
-    by some such term (the principal solution).  So the answer is no,
-    without any residual, when the supports of those generators do not
-    cover the support of v; otherwise the test stops as soon as every
-    coordinate is reached.
+    by some such term (the principal solution).  The test is one pass
+    over the dict: a generator outside v's support, or one that meets no
+    coordinate still to reach, is passed over without a residual, and the
+    answer is yes as soon as every coordinate is reached, no after the
+    pass.  A coordinate that no support inside v's holds is never reached,
+    so the answer is no then too; the support-group admission in
+    ``reference`` asks that cheaper question first for a group of one.
     """
     if masks and len(v) != (d := len(next(iter(masks)))):
         raise DimensionError(
@@ -368,15 +378,11 @@ def in_span(
         )
     todo = masks.get(v) or _support_mask(v)
     outside = ~todo
-    live = [(w, m) for w, m in masks.items() if not m & outside and w != skip]
-    reach = 0
-    for _, mask in live:
-        reach |= mask
-    if reach != todo:
-        return False
-    for w, mask in live:
+    for w, mask in masks.items():
+        if mask & outside:
+            continue
         bits = mask & todo
-        if not bits:
+        if not bits or w == skip:
             continue
         c = residual(v, w)
         while bits:
@@ -480,4 +486,4 @@ def parse_scalar(token: str) -> ExtReal:
 
 
 def format_vector(x: MpVector) -> str:
-    return " ".join(format_scalar(e) for e in x)
+    return " ".join(["-inf" if e is NEG_INF else str(e) for e in x])

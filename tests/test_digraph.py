@@ -199,17 +199,26 @@ class TestMaxCycleMean:
         assert mean_of(a) == 2
 
     def test_matches_brute_force(self):
-        rng = random.Random(2024)
-        for _ in range(120):
-            n = rng.randint(1, 6)
-            p = rng.choice([0.3, 0.5, 0.8])
-            a = rand_matrix(rng, n, neg_inf_p=p)
-            want = brute_max_cycle_mean(a)
-            got = mean_of(a)
-            if want is NEG_INF:
-                assert got is NEG_INF
-            else:
-                assert got == want, (a, got, want)
+        matches_brute_force(rand_matrix)
+
+    def test_matches_brute_force_on_fractions(self):
+        matches_brute_force(fractional_matrix)
+
+
+def matches_brute_force(make):
+    """Karp's value is the best mean over the elementary cycles, as a
+    Fraction even when integral, or NEG_INF when the digraph is acyclic."""
+    rng = random.Random(2024)
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        p = rng.choice([0.3, 0.5, 0.8])
+        a = make(rng, n, neg_inf_p=p)
+        want = brute_max_cycle_mean(a)
+        got = mean_of(a)
+        if want is NEG_INF:
+            assert got is NEG_INF
+        else:
+            assert type(got) is Fraction and got == want, (a, got, want)
 
 
 class TestDeepGraphs:

@@ -417,15 +417,13 @@ def pruned_prefixes_match(system):
             assert typed(got.vectors) == typed(want.vectors)
 
 
-def brute_new_points(system) -> list[MpVector]:
-    """Per row, the distinct scaled boundary points not already among the
-    extremals of the previous prefix; all rows' together, sorted."""
+def brute_rows(system):
+    """Per row, the satisfiers among the extremals of the previous prefix,
+    the distinct scaled boundary points not among them (the row's new
+    points), and the extremals of the prefix the row ends."""
     d = system.dimension
     prev = [unit(d, i) for i in range(d)]
-    points = []
     for k, (lower, upper) in enumerate(system.rows):
-        if k:
-            prev = extremal_filter(brute_double_description(system.rows[:k])[0]).vectors
         scored = [(v, brute_mp_dot(lower, v), brute_mp_dot(upper, v)) for v in prev]
         sat = [(v, up) for v, lo, up in scored if lo <= up]
         vio = [(w, lo) for w, lo, up in scored if lo > up]
@@ -434,8 +432,51 @@ def brute_new_points(system) -> list[MpVector]:
             for w, lo in vio:
                 z = brute_join(brute_scale(v, lo), brute_scale(w, up))
                 new.add(brute_normalized(z)[1])
-        points += new - {v for v, _ in sat}
-    return sorted(points)
+        prev = extremal_filter(brute_double_description(system.rows[: k + 1])[0]).vectors
+        satisfiers = [v for v, _ in sat]
+        yield satisfiers, sorted(new - set(satisfiers)), prev
+
+
+def support(v) -> frozenset[int]:
+    return frozenset(i for i, e in enumerate(v) if e is not NEG_INF)
+
+
+def brute_tested_points(system) -> tuple[list[MpVector], list[list[MpVector]]]:
+    """The new points a pruned run must span-test, all rows' together and
+    sorted, and per row those it must keep untested.
+
+    A new point p is tested exactly when the supports inside supp(p) of
+    the row's satisfiers and of its other new points together make up
+    supp(p).  Otherwise no combination of the vectors held beside p
+    reaches the coordinates they all miss, so p is extremal.
+    """
+    tested, kept = [], []
+    for satisfiers, new, extremals in brute_rows(system):
+        kept.append([])
+        for p in new:
+            s = support(p)
+            inside = [support(w) for w in satisfiers + new if w != p and support(w) <= s]
+            if frozenset().union(*inside) == s:
+                tested.append(p)
+            else:
+                assert p in extremals
+                kept[-1].append(p)
+    return sorted(tested), kept
+
+
+def span_tests(run):
+    """The vectors ``run()`` hands to ``reference.in_span``, in call order,
+    and what it returns."""
+    tested = []
+    span = reference.in_span
+
+    def counting(v, gens, skip=None):
+        tested.append(v)
+        return span(v, gens, skip)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reference, "in_span", counting)
+        return tested, run()
 
 
 class TestPrunedDoubleDescription:
@@ -453,17 +494,33 @@ class TestPrunedDoubleDescription:
     @settings(max_examples=100, deadline=None)
     @given(tied_systems())
     def test_only_new_points_are_tested(self, system):
-        tested = []
-        span = reference.in_span
+        # Which new points reach in_span, not their verdicts: a point whose
+        # support the vectors inside it do not cover is kept untested.
+        held = []
+        admit = reference._admit_extremals
 
-        def counting(v, gens, skip=None):
-            tested.append(v)
-            return span(v, gens, skip)
+        def recording(masks, fresh):
+            admit(masks, fresh)
+            held.append(set(masks))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(reference, "in_span", counting)
-            double_description(system, None, prune=True)
-        assert sorted(tested) == brute_new_points(system)
+            mp.setattr(reference, "_admit_extremals", recording)
+            tested, _ = span_tests(lambda: double_description(system, None, prune=True))
+        want_tested, want_kept = brute_tested_points(system)
+        assert sorted(tested) == want_tested
+        assert len(held) == len(want_kept)
+        for after_row, kept in zip(held, want_kept):
+            assert set(kept) <= after_row
+
+    @pytest.mark.parametrize("n", [30, 120])
+    def test_chain_points_are_kept_by_support(self, n):
+        # Every point of a chain reaches a coordinate no smaller support
+        # held beside it does, so none of them needs a span test.
+        system = TwoSidedSystem.supereigen(chain_into_loop(n))
+        tested, got = span_tests(lambda: double_description(system, None, prune=True))
+        assert tested == []
+        assert len(got.vectors) == n
+        assert got.vectors == double_description(system, None).vectors
 
     def test_group_enters_before_it_is_tested(self):
         # The last row forms (-3, -4, 0) = (-3, -inf, 0) join -1 (-3, -3, 0),
@@ -515,6 +572,17 @@ class TestExtremalFilter:
         scaled = sorted({v.scaled() for v in vs})
         want = [v for v in scaled if brute_extremal(v, scaled)]
         assert list(extremal_filter(vs)) == want
+
+    def test_uncovered_singleton_is_kept_untested(self):
+        # z alone has support {0, 1, 2}, and no smaller support reaches
+        # coordinate 2: it is kept without a span test.  w alone has
+        # support {0, 1}, which x and y cover: it is tested, and dropped.
+        x, y = vector([0, NI, NI]), vector([NI, 0, NI])
+        w, z = vector([0, 0, NI]), vector([0, -1, 0])
+        for vs in itertools.permutations([x, y, w, z]):
+            tested, got = span_tests(lambda: extremal_filter(vs))
+            assert tested == [w]
+            assert got == brute_filter(vs) == ScaledBasis([x, y, z])
 
     def test_join_leaning_on_a_later_vector_of_its_support(self):
         # v = u1 join (-1)u2 shares its support with both and sorts before
