@@ -157,22 +157,24 @@ def _basis_by_method(a: MpMatrix, method: str, cap: int) -> BasisResult:
         return extremal_basis(a, max_cycles=cap)
     d = Digraph.from_matrix(a)
     lam = max_cycle_mean(d)
+    if lam < 0:
+        return BasisResult(ScaledBasis(()), lam, False, SearchStats(0, 0, 0, 0))
     if method == "wang2020":
         structure = cycle_structure(d, cap)
         gens = cycle_path_generators(a, structure=structure)
-        scaled = {v.scaled() for v in dict.fromkeys(gens.vectors)}
+        scaled = {v.scaled() for v in dict.fromkeys(gens)}
         basis = extremal_filter(scaled)
         stats = SearchStats(
             cycles=len(structure),
             paths=sum(len(paths) for _, paths in structure),
-            candidates=len(gens.vectors),
-            duplicates=len(gens.vectors) - len(scaled),
+            candidates=len(gens),
+            duplicates=len(gens) - len(scaled),
         )
     else:
         gens = double_description(TwoSidedSystem.supereigen(a), cap, prune=True)
-        basis = ScaledBasis(gens.vectors)
-        stats = SearchStats(0, 0, len(gens.vectors), 0)
-    return BasisResult(basis, lam, lam >= 0, stats)
+        basis = ScaledBasis(gens)
+        stats = SearchStats(0, 0, len(gens), 0)
+    return BasisResult(basis, lam, True, stats)
 
 
 def _json_scalar(e):
@@ -218,12 +220,12 @@ def _cmd_generators(args) -> int:
     if args.method == "extremal":
         result = generator_enumeration(a, max_cycles=cap)
         _print_unsolvable(result, k)
-        vectors = result.basis.vectors
+        vectors = result.basis
     elif args.method == "wang2020":
         gens = cycle_path_generators(a, max_cycles=cap)
         vectors = gens.scaled_set()
     else:
-        vectors = double_description(TwoSidedSystem.supereigen(a), cap).vectors
+        vectors = double_description(TwoSidedSystem.supereigen(a), cap)
     _write_lines(vectors, k)
     return 0
 

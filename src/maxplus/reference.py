@@ -54,11 +54,15 @@ from .semiring import (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Vectors spanning a subsemimodule."""
+class GeneratorSet(tuple):
+    """Vectors spanning a subsemimodule, as a tuple of :class:`MpVector`."""
 
-    vectors: tuple[MpVector, ...]
+    __slots__ = ()
+
+    @property
+    def vectors(self) -> tuple[MpVector, ...]:
+        """The generators as a plain tuple."""
+        return tuple(self)
 
     def scaled_set(self) -> tuple[MpVector, ...]:
         """Distinct scaled forms of the generators, canonically sorted.
@@ -66,13 +70,7 @@ class GeneratorSet:
         Shared feeder path suffixes repeat generators, so each distinct
         one is scaled once.
         """
-        return tuple(sorted({v.scaled() for v in dict.fromkeys(self.vectors)}))
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
+        return tuple(sorted({v.scaled() for v in dict.fromkeys(self)}))
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def cycle_path_generators(
         vectors.extend(gens)
         for path in paths:
             vectors.extend(_path_generators(a, cycle, gens, path))
-    return GeneratorSet(tuple(vectors))
+    return GeneratorSet(vectors)
 
 
 def double_description(
@@ -255,7 +253,7 @@ def double_description(
             _admit_extremals(masks, fresh)
         else:
             masks.update(fresh)
-    return GeneratorSet(tuple(sorted(masks)))
+    return GeneratorSet(sorted(masks))
 
 
 def _sparse_dot(entries: list[tuple[int, ExtReal]], x: MpVector) -> ExtReal:

@@ -19,10 +19,10 @@ dict in one pass; whether the supports inside a vector cover it is
 asked once per support group by the admission that
 ``reference.extremal_filter`` and the pruned double description share.
 
-Vectors and square matrices are thin immutable tuple subclasses; index a
-matrix as ``a[i]`` for a row and ``a[i][j]`` for an entry.  Dimension
-mismatches raise :class:`DimensionError`; scaling the vector that is
--inf in every coordinate raises :class:`ImproperVectorError`.
+Vectors, square matrices and :class:`ScaledBasis` are thin immutable tuple
+subclasses; index a matrix as ``a[i]`` for a row and ``a[i][j]`` for an
+entry.  Dimension mismatches raise :class:`DimensionError`; scaling the
+vector that is -inf in every coordinate raises :class:`ImproperVectorError`.
 """
 
 from __future__ import annotations
@@ -396,43 +396,28 @@ def in_span(
     return not todo
 
 
-class ScaledBasis:
-    """Canonically ordered set of scaled vectors.
+class ScaledBasis(tuple):
+    """Canonically ordered set of scaled vectors, as a tuple.
 
     Every member has largest entry 0, members are pairwise distinct, and
     the tuple is sorted ascending lexicographically with -inf below every
-    finite value.  Two bases compare equal exactly when they contain the
-    same vectors.
+    finite value.  Two bases, or a basis and a plain tuple, compare equal
+    exactly when they hold the same vectors in that order.
     """
 
-    __slots__ = ("vectors",)
+    __slots__ = ()
 
-    def __init__(self, vectors: Iterable[MpVector]):
+    def __new__(cls, vectors: Iterable[MpVector] = ()) -> "ScaledBasis":
         uniq = sorted(set(vectors))
         for v in uniq:
             if max(v) != 0:
                 raise ValueError(f"not scaled: {format_vector(v)}")
-        self.vectors = tuple(uniq)
+        return super().__new__(cls, uniq)
 
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self.vectors
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ScaledBasis):
-            return self.vectors == other.vectors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.vectors)
-
-    def __repr__(self) -> str:
-        return f"ScaledBasis({list(self.vectors)!r})"
+    @property
+    def vectors(self) -> tuple[MpVector, ...]:
+        """The members as a plain tuple."""
+        return tuple(self)
 
 
 # Every digit run is bounded at CPython's default int/str conversion limit.

@@ -176,6 +176,27 @@ class TestBasis:
         assert payload["solvable"] is False
         assert payload["basis"] == []
 
+    def test_unsolvable_answered_under_a_small_cap(self, tmp_path, capsys):
+        # Every arc is -1, so lambda(A) = -1 and the solution space holds
+        # no proper vector.  Enumerating the cycles or dd's pairs would
+        # pass a cap of 10; no route needs to.
+        f = write(tmp_path, "-1 -1 -1 -1 -1 -1 -1\n" * 7)
+        cap = ["--max-cycles", "10"]
+        for method in cli.METHODS:
+            assert cli.main(["basis", f, "--method", method, *cap]) == 0, method
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == "no proper solution: maximum cycle mean -1 is negative\n"
+            assert cli.main(["basis", f, "--method", method, "--json", *cap]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["solvable"] is False
+            assert payload["basis"] == []
+            assert payload["stats"] == {
+                "cycles": 0, "paths": 0, "candidates": 0, "duplicates": 0
+            }
+        assert cli.main(["verify", f, *cap]) == 0
+        assert capsys.readouterr().out.startswith("OK: 3 methods agree, |basis|=0\n")
+
     @pytest.mark.parametrize("method", ["extremal", "wang2020"])
     def test_one_enumeration_per_route(self, example_file, capsys, monkeypatch, method):
         calls = {"nonneg_elementary_cycles": [], "feeder_paths": []}

@@ -708,3 +708,17 @@ class TestGeneratorSet:
         g = GeneratorSet((vector([1, 0]), vector([0, -1]), vector([2, 1])))
         assert g.scaled_set() == (vector([0, -1]),)
         assert len(g) == 3
+
+    def test_routes_return_tuples(self):
+        a = example_matrix()
+        system = TwoSidedSystem.supereigen(a)
+        for gens in (
+            cycle_path_generators(a),
+            double_description(system),
+            double_description(system, prune=True),
+        ):
+            assert type(gens) is GeneratorSet
+            assert isinstance(gens, tuple)
+            assert gens.vectors == tuple(gens)
+            assert len(gens) == len(gens.vectors) > 0
+            assert [gens[i] for i in range(len(gens))] == list(gens.vectors)

@@ -1,6 +1,8 @@
 """Scalar and vector layer: semiring laws, residuation, span membership."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -564,6 +566,29 @@ class TestScaledBasis:
 
     def test_empty(self):
         assert len(ScaledBasis(())) == 0
+
+    def test_is_the_sorted_tuple_of_its_distinct_members(self):
+        a = vector([0, -1])
+        b = vector([-1, 0])
+        c = vector([0, NEG_INF])
+        basis = ScaledBasis([a, b, c, a])
+        assert isinstance(basis, tuple)
+        assert basis == tuple(sorted({a, b, c})) == (b, c, a)
+        assert basis.vectors == tuple(basis)
+        assert type(basis.vectors) is tuple
+        assert basis[1:] == (c, a)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip_keeps_type_and_value(self, round_trip):
+        basis = ScaledBasis([vector([0, NEG_INF]), vector([Fraction(-1, 2), 0])])
+        got = round_trip(basis)
+        assert type(got) is ScaledBasis
+        assert got == basis.vectors
+        assert got[1][1] is NEG_INF
 
 
 class TestScalarText:
