@@ -16,11 +16,8 @@ Exit codes: 0 success, 1 verify mismatch, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import json
 import sys
-from pathlib import Path
 from typing import Iterable
 
 from .digraph import (
@@ -118,7 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> MpMatrix:
-    return parse_matrix(Path(path).read_text(encoding="utf-8-sig")).matrix
+    with open(path, encoding="utf-8-sig") as f:
+        text = f.read()
+    return parse_matrix(text).matrix
 
 
 def _effective(args) -> tuple[int, MpMatrix]:
@@ -198,6 +197,8 @@ def _cmd_basis(args) -> int:
     k, a = _effective(args)
     result = _basis_by_method(a, args.method, args.max_cycles)
     if args.json:
+        import json  # only here: no other call pays for the import
+
         payload = {
             "n": len(a),
             "lambda": format_scalar(unscaled(result.cycle_mean, k)),
@@ -205,7 +206,7 @@ def _cmd_basis(args) -> int:
             "basis": [
                 [_json_scalar(unscaled(e, k)) for e in v] for v in result.basis
             ],
-            "stats": dataclasses.asdict(result.stats),
+            "stats": result.stats._asdict(),
         }
         print(json.dumps(payload))
         return 0

@@ -35,8 +35,7 @@ the reference constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .digraph import (
     DEFAULT_MAX_CYCLES,
@@ -307,8 +306,7 @@ def path_extremals(
     return out, taken
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Work counters for one basis search.
 
     ``paths`` counts the feeder path steps walked (see
@@ -324,8 +322,7 @@ class SearchStats:
     duplicates: int
 
 
-@dataclass(frozen=True)
-class BasisResult:
+class BasisResult(NamedTuple):
     """Scaled basis of {x : A (x) >= x} plus search diagnostics."""
 
     basis: ScaledBasis

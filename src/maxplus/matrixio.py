@@ -8,7 +8,7 @@ decimals; decimals convert exactly (``2.5`` reads as 5/2).  Errors carry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .semiring import (
     MpMatrix,
@@ -33,8 +33,7 @@ class MatrixParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class MatrixDocument:
+class MatrixDocument(NamedTuple):
     """A parsed square matrix."""
 
     matrix: MpMatrix
@@ -67,7 +66,7 @@ def parse_matrix(text: str) -> MatrixDocument:
             except ValueError as exc:
                 raise MatrixParseError(str(exc), line=li, column=ci) from None
         rows.append(row)
-    return MatrixDocument(MpMatrix.from_rows(rows))
+    return MatrixDocument(MpMatrix(MpVector(row) for row in rows))
 
 
 def parse_vector(text: str, n: int) -> MpVector:

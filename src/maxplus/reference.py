@@ -29,9 +29,8 @@ every generator of A that can take part in the vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .digraph import (
     DEFAULT_MAX_CYCLES,
@@ -73,20 +72,25 @@ class GeneratorSet(tuple):
         return tuple(sorted({v.scaled() for v in dict.fromkeys(self)}))
 
 
-@dataclass(frozen=True)
-class TwoSidedSystem:
-    """Finite system of one-sided rows lower_k (x) <= upper_k (x).
-
-    Each row is the pair (lower_k, upper_k).
-    """
-
+class _System(NamedTuple):
     dimension: int
     rows: tuple[tuple[MpVector, MpVector], ...]
 
-    def __post_init__(self):
-        for k, (lower, upper) in enumerate(self.rows):
-            if len(lower) != self.dimension or len(upper) != self.dimension:
-                raise ValueError(f"row {k} does not match dimension {self.dimension}")
+
+class TwoSidedSystem(_System):
+    """Finite system of one-sided rows lower_k (x) <= upper_k (x).
+
+    Each row is the pair (lower_k, upper_k).  Construction checks each
+    row's sides against ``dimension``; ``_make`` and ``_replace`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dimension: int, rows: tuple[tuple[MpVector, MpVector], ...]):
+        for k, (lower, upper) in enumerate(rows):
+            if len(lower) != dimension or len(upper) != dimension:
+                raise ValueError(f"row {k} does not match dimension {dimension}")
+        return super().__new__(cls, dimension, rows)
 
     @classmethod
     def supereigen(cls, a: MpMatrix) -> "TwoSidedSystem":

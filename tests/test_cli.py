@@ -1,6 +1,5 @@
 """End-to-end command line tests: golden outputs, exit codes, enumeration counts."""
 
-import dataclasses
 import json
 import os
 import random
@@ -664,7 +663,7 @@ def library_output(a, command, method="extremal", *, as_json=False, vec=None):
                 "lambda": format_scalar(result.cycle_mean),
                 "solvable": result.solvable,
                 "basis": [[json_scalar(e) for e in v] for v in result.basis],
-                "stats": dataclasses.asdict(result.stats),
+                "stats": result.stats._asdict(),
             }
             return json.dumps(payload) + "\n", ""
         lines = [format_vector(v) for v in result.basis]

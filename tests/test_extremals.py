@@ -1,5 +1,6 @@
 """Search layer: row membership, cycle growth, path extension, full basis."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -474,6 +475,27 @@ class TestExtremalBasis:
         assert r.stats.candidates == 36
         assert r.stats.candidates - r.stats.duplicates == 10
         assert r.stats.duplicates >= 0
+
+    def test_stats_asdict_is_the_json_stats(self, tmp_path, capsys):
+        # same keys, values and order as `basis --json` prints under "stats"
+        (tmp_path / "A.txt").write_text(EXAMPLE_TEXT)
+        assert cli.main(["basis", str(tmp_path / "A.txt"), "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)["stats"]
+        stats = extremal_basis(example_matrix()).stats
+        assert list(stats._asdict().items()) == list(printed.items())
+
+    def test_result_unpacks_in_field_order(self):
+        r = extremal_basis(example_matrix())
+        basis, cycle_mean, solvable, stats = r
+        assert (basis, cycle_mean, solvable, stats) == (
+            r.basis, r.cycle_mean, r.solvable, r.stats,
+        )
+
+    def test_records_reject_attribute_assignment(self):
+        r = extremal_basis(example_matrix())
+        for record, name in ((r, "solvable"), (r.stats, "cycles"), (r, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
 
     def test_unsolvable(self):
         r = extremal_basis(mk([[-1, NI], [NI, -2]]))

@@ -10,6 +10,7 @@ from maxplus import (
     NEG_INF,
     MatrixParseError,
     MpMatrix,
+    MpVector,
     parse_matrix,
     parse_vector,
     render_matrix,
@@ -31,6 +32,18 @@ class TestParseMatrix:
         assert doc.matrix[0][0] == -3
         assert doc.matrix[2][3] == 2
         assert doc.matrix[4][4] is NEG_INF
+
+    def test_rows_are_vectors_of_a_matrix(self):
+        doc = parse_matrix("1/2 -inf\n3 0\n")
+        assert type(doc.matrix) is MpMatrix
+        assert [type(row) for row in doc.matrix] == [MpVector, MpVector]
+        assert doc.matrix == MpMatrix.from_rows([[Fraction(1, 2), NI], [3, 0]])
+
+    def test_document_rejects_attribute_assignment(self):
+        doc = parse_matrix(EXAMPLE_TEXT)
+        for name in ("matrix", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(doc, name, example_matrix())
 
     def test_single_entry(self):
         assert parse_matrix("0\n").matrix == mk([[0]])

@@ -1,6 +1,8 @@
 """Reference layer: closed-form generators, double description, filtering."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -194,6 +196,23 @@ class TestTwoSidedSystem:
         for row in ((e0,), (e0, e1, e1)):
             with pytest.raises(ValueError):
                 TwoSidedSystem(2, (row,))
+
+    def test_rejects_attribute_assignment(self):
+        system = TwoSidedSystem.supereigen(example_matrix())
+        for name in ("dimension", "rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(system, name, 0)
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trip_keeps_type_and_value(self, round_trip):
+        system = TwoSidedSystem.supereigen(example_matrix())
+        got = round_trip(system)
+        assert type(got) is TwoSidedSystem
+        assert got == system
 
 
 class TestDoubleDescription:
